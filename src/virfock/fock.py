@@ -26,11 +26,12 @@ NS parity s, and in degree w in R.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .linalg import SpanBuilder, nullspace
-from .scalars import GF, QQ, Ring, Scalar, reduce_mod_p, scalar_to_json, scalar_from_json
+from .lincomb import LinComb, merge, reduce_terms_mod_p
+from .linalg import joint_kernel, lowering_closure
+from .scalars import GF, QQ, Ring, Scalar, scalar_to_json, scalar_from_json
 
 FockMonomial = Tuple[int, ...]
 
@@ -79,61 +80,28 @@ def _valid_monomial(t: FockMonomial, sector: str) -> bool:
     return all(n2 >= 0 and n2 % 2 == 0 for n2 in t)
 
 
-class FockVector:
+class FockVector(LinComb):
     """Finite linear combination of Fock basis monomials in a fixed sector."""
 
-    __slots__ = ("sector", "ring", "terms")
+    __slots__ = ("sector", "ring")
 
     def __init__(self, sector: str, ring: Ring, terms: Dict[FockMonomial, Scalar]):
         self.sector = _check_sector(sector)
         self.ring = ring
         self.terms = terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FockVector)
-            and self.sector == other.sector
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.sector, frozenset(self.terms.items())))
-
     def _like(self, terms: Dict[FockMonomial, Scalar]) -> "FockVector":
         return FockVector(self.sector, self.ring, terms)
+
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and self.sector == other.sector
+
+    __hash__ = LinComb.__hash__
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if other.sector != self.sector:
             raise ValueError("cannot add vectors from different sectors")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._like(out)
-
-    def __neg__(self) -> "FockVector":
-        return self._like({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "FockVector":
-        if not s:
-            return self._like({})
-        return self._like({k: s * v for k, v in self.terms.items()})
-
-    def coeff(self, t: FockMonomial, zero: Scalar = 0) -> Scalar:
-        return self.terms.get(tuple(t), zero)
-
-    def items(self):
-        return iter(sorted(self.terms.items(), reverse=True))
+        return super().__add__(other)
 
     def max_weight2(self) -> int:
         """Largest doubled weight among the monomials (0 for the zero vector)."""
@@ -141,21 +109,11 @@ class FockVector:
 
     def weight2(self) -> Optional[int]:
         """Common doubled weight, or None for zero or mixed vectors."""
-        ws = {sum(t) for t in self.terms}
-        if len(ws) == 1:
-            return ws.pop()
-        return None
-
-    def weight(self) -> Optional[Fraction]:
-        w2 = self.weight2()
-        return None if w2 is None else Fraction(w2, 2)
+        return self._common(sum)
 
     def parity(self) -> Optional[int]:
         """Common monomial-length parity (0 even, 1 odd), or None if mixed."""
-        ps = {len(t) % 2 for t in self.terms}
-        if len(ps) == 1:
-            return ps.pop()
-        return None
+        return self._common(lambda t: len(t) % 2)
 
     def adjusted_degree(self) -> int:
         """Sector-adjusted degree of a homogeneous parity-pure vector."""
@@ -165,16 +123,7 @@ class FockVector:
         return (w2 - par) // 2 if self.sector == NS else w2 // 2
 
     def leading_monomial(self) -> FockMonomial:
-        if not self.terms:
-            raise ValueError("zero vector has no leading monomial")
-        return max(self.terms)
-
-    def normalized(self) -> "FockVector":
-        lead = self.terms[self.leading_monomial()]
-        return self._like({k: v / lead for k, v in self.terms.items()})
-
-    def coords(self, basis: Sequence[FockMonomial], zero: Scalar) -> List[Scalar]:
-        return [self.terms.get(t, zero) for t in basis]
+        return self._leading_key()
 
     def to_json(self) -> list:
         return [
@@ -191,10 +140,8 @@ class FockVector:
             t = tuple(int(x) for x in entry["modes"])
             if not _valid_monomial(t, sector):
                 raise ValueError(f"invalid {sector} monomial {t}")
-            cv = scalar_from_json(entry["coeff"], ring)
-            if cv:
-                out[t] = out.get(t, ring.zero()) + cv
-        return cls(sector, ring, {k: v for k, v in out.items() if v})
+            merge(out, {t: scalar_from_json(entry["coeff"], ring)})
+        return cls(sector, ring, out)
 
     def __repr__(self):
         if not self.terms:
@@ -251,18 +198,12 @@ def apply_fermion(m, vec: FockVector) -> FockVector:
     if not _mode_in_sector(m2, vec.sector):
         raise ValueError(f"mode {m} does not belong to the {vec.sector} sector")
     one = vec.ring.one()
+    # a(m) maps distinct monomials to distinct monomials, so no terms merge.
     out: Dict[FockMonomial, Scalar] = {}
     for t, cv in vec.terms.items():
         hit = _apply_fermion_term(m2, t, one)
-        if hit is None:
-            continue
-        o, f = hit
-        s = out.get(o)
-        s = cv * f if s is None else s + cv * f
-        if s:
-            out[o] = s
-        else:
-            out.pop(o, None)
+        if hit is not None:
+            out[hit[0]] = cv * hit[1]
     return vec._like(out)
 
 
@@ -274,7 +215,7 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
     adds the 1/16 shift.
     """
     ring = vec.ring
-    out = vec._like({})
+    out: Dict[FockMonomial, Scalar] = {}
     bound2 = vec.max_weight2() + 2 * abs(n) + 2
     start2 = 1 if vec.sector == NS else 0
     step = 2
@@ -295,10 +236,10 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
             w = apply_fermion(Fraction(second, 2), w)
             if not w:
                 continue
-            out = out + w.scale(coeff)
+            merge(out, w.terms, coeff)
     if n == 0 and vec.sector == RAMOND:
-        out = out + vec.scale(ring.one() / ring.of_int(16))
-    return out
+        merge(out, vec.terms, ring.one() / ring.of_int(16))
+    return vec._like(out)
 
 
 @lru_cache(maxsize=None)
@@ -373,28 +314,9 @@ def vir_span_dims(start: FockVector, max_degree: int) -> List[int]:
     """
     if not start:
         raise ValueError("start vector must be nonzero")
-    ring = start.ring
-    sector, parity = start.sector, start.parity()
-    d0 = start.adjusted_degree()
-    zero = ring.zero()
-    spans = [SpanBuilder(ring) for _ in range(max_degree + 1)]
-    slices: List[List[FockVector]] = [[] for _ in range(max_degree + 1)]
-
-    def push(w: FockVector) -> None:
-        if not w:
-            return
-        d = w.adjusted_degree()
-        if d > max_degree:
-            return
-        if spans[d].add(w.coords(sector_basis(sector, parity, d), zero)):
-            slices[d].append(w)
-
-    push(start)
-    for d in range(d0, max_degree + 1):
-        for w in slices[d]:
-            for k in range(1, max_degree - d + 1):
-                push(apply_virasoro_fock(-k, w))
-    return [b.dim for b in spans]
+    basis = partial(sector_basis, start.sector, start.parity())
+    seeds = [(start.adjusted_degree(), start)]
+    return lowering_closure(seeds, max_degree, start.ring, basis, lambda k, w: apply_virasoro_fock(-k, w))
 
 
 def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[FockVector]:
@@ -409,24 +331,12 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
         raise ValueError("R-sector weights are integers")
     degree = (w2 - parity) // 2 if sector == NS else w2 // 2
     basis = sector_basis(sector, parity, degree)
-    zero = ring.zero()
-    rows: List[List[Scalar]] = []
+    maps = []
     for m in (1, 2):
-        if degree - m < 0:
-            continue
-        target = sector_basis(sector, parity, degree - m)
-        imgs = [
-            apply_virasoro_fock(m, FockVector(sector, ring, {t: ring.one()}))
-            for t in basis
-        ]
-        for q in target:
-            rows.append([w.terms.get(q, zero) for w in imgs])
-    coords = nullspace(rows, ring, ncols=len(basis))
-    out = []
-    for x in coords:
-        w = FockVector(sector, ring, {t: cv for t, cv in zip(basis, x) if cv})
-        out.append(w.normalized())
-    return out
+        if degree - m >= 0:
+            images = [apply_virasoro_fock(m, FockVector(sector, ring, {t: ring.one()})).terms for t in basis]
+            maps.append((sector_basis(sector, parity, degree - m), images))
+    return [FockVector(sector, ring, terms).normalized() for terms in joint_kernel(basis, maps, ring)]
 
 
 def sigma(vec: FockVector) -> FockVector:
@@ -477,12 +387,4 @@ def fock_form(u: FockVector, v: FockVector) -> Scalar:
 def reduce_fock_mod_p(vec: FockVector, p: int) -> FockVector:
     """Entrywise image of a rational Fock vector over F_p; terms with zero
     image drop out, a denominator divisible by p raises."""
-    ring = GF(p)
-    out: Dict[FockMonomial, Scalar] = {}
-    for t, cv in vec.terms.items():
-        if not isinstance(cv, Fraction):
-            raise TypeError("reduction starts from a rational vector")
-        img = reduce_mod_p(cv, p)
-        if img:
-            out[t] = img
-    return FockVector(vec.sector, ring, out)
+    return FockVector(vec.sector, GF(p), reduce_terms_mod_p(vec.terms, p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .scalars import Fp, Ring, RingMismatchError, Scalar
 
@@ -134,6 +134,19 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ring: Ring, ncols: int | None = 
     return out
 
 
+def joint_kernel(basis: Sequence, maps: Sequence[Tuple[Sequence, Sequence[dict]]], ring: Ring) -> List[dict]:
+    """Basis of the common kernel of linear maps on the span of basis.
+
+    maps holds one (target basis, images) pair per map, images[j] being the
+    term dict of the image of basis[j].  The coordinate rows of every map are
+    stacked into one matrix; each null vector comes back as a term dict on
+    basis with its zero coordinates dropped.
+    """
+    zero = ring.zero()
+    rows = [[img.get(q, zero) for img in images] for target, images in maps for q in target]
+    return [{k: cv for k, cv in zip(basis, x) if cv} for x in nullspace(rows, ring, ncols=len(basis))]
+
+
 def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
     """Determinant of a square matrix, exact in the given field."""
     n = len(rows)
@@ -200,3 +213,29 @@ class SpanBuilder:
     @property
     def dim(self) -> int:
         return len(self._rows)
+
+
+def lowering_closure(seeds: Sequence[tuple], max_degree: int, ring: Ring, basis: Callable, lower: Callable) -> List[int]:
+    """Graded dimensions, degrees 0..max_degree, of the span of all lowering
+    words L(-k_1)...L(-k_j) applied to homogeneous seed vectors.
+
+    seeds holds (degree, vector) pairs; basis(d) is the coordinate basis of
+    degree d, and lower(k, w) applies L(-k), raising the degree by k.  Slices
+    are saturated degree by degree with the generators L(-1)..L(-max_degree);
+    deeper words are reached iteratively.
+    """
+    zero = ring.zero()
+    spans = [SpanBuilder(ring) for _ in range(max_degree + 1)]
+    slices: List[list] = [[] for _ in range(max_degree + 1)]
+
+    def push(d: int, w) -> None:
+        if w and d <= max_degree and spans[d].add(w.coords(basis(d), zero)):
+            slices[d].append(w)
+
+    for d, w in seeds:
+        push(d, w)
+    for d in range(max_degree + 1):
+        for w in slices[d]:
+            for k in range(1, max_degree - d + 1):
+                push(d + k, lower(k, w))
+    return [b.dim for b in spans]

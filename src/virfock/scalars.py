@@ -18,7 +18,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -112,10 +111,10 @@ class Fp:
         return Fp(-self.v, self.p)
 
     def __eq__(self, other):
+        # Only Fp values compare: an int or Fraction that "equals" a residue
+        # would hash differently, breaking dict and set lookups.
         if isinstance(other, Fp):
             return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
         return NotImplemented
 
     def __hash__(self):
@@ -223,11 +222,9 @@ class Poly:
         return Poly(tuple(cv / inv for cv in self.coeffs), self.char)
 
     def __eq__(self, other):
+        # Only Poly values compare, for the same reason as Fp.__eq__.
         if isinstance(other, Poly):
             return self.char == other.char and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, Fp)):
-            o = self._lift(other)
-            return self.coeffs == o.coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -377,15 +374,6 @@ def poly_eval(f: Poly, x) -> Scalar:
     if not isinstance(f, Poly):
         raise TypeError("poly_eval expects a polynomial scalar")
     return f.eval(_base_coerce(x, f.char))
-
-
-def binomial(s: int, i: int) -> int:
-    """Generalized binomial coefficient C(s, i) for integer s (s may be negative)."""
-    if i < 0:
-        return 0
-    if s >= 0:
-        return math.comb(s, i)
-    return (-1) ** i * math.comb(i - s - 1, i)
 
 
 def scalar_to_str(x: Scalar) -> str:

@@ -14,28 +14,18 @@ This holds over every supported field, in any characteristic other than 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .linalg import SpanBuilder, nullspace, rank
-from .scalars import GF, Ring, Scalar, reduce_mod_p, scalar_to_str
+from .lincomb import reduce_terms_mod_p
+from .linalg import joint_kernel, lowering_closure, rank
+from .scalars import scalar_to_str
 from .verma import (
     ModuleParams,
-    Partition,
-    VermaModule,
     VermaVector,
+    _as_module,
     partitions,
     verma_dim,
-    verma_module,
 )
-
-
-def _as_module(params) -> VermaModule:
-    if isinstance(params, VermaModule):
-        return params
-    if isinstance(params, ModuleParams):
-        return verma_module(params.c, params.h, params.ring)
-    raise TypeError(f"expected ModuleParams or VermaModule, got {params!r}")
 
 
 @dataclass(frozen=True)
@@ -113,23 +103,14 @@ def singular_space(params, degree: int) -> SingularBasis:
     mod = _as_module(params)
     if degree < 1:
         raise ValueError("singular vectors have positive degree")
-    ring = mod.ring
     basis = partitions(degree)
-    zero = ring.zero()
-    images = [(m, partitions(degree - m)) for m in (1, 2) if degree - m >= 0]
-    rows: List[List[Scalar]] = []
-    cols = [mod.apply_mode(1, mod.monomial(p)) for p in basis]
-    cols2 = [mod.apply_mode(2, mod.monomial(p)) for p in basis]
-    for m, target in images:
-        imgs = cols if m == 1 else cols2
-        for q in target:
-            rows.append([w.terms.get(q, zero) for w in imgs])
-    coords = nullspace(rows, ring, ncols=len(basis))
-    vectors = []
-    for x in coords:
-        w = VermaVector({p: cv for p, cv in zip(basis, x) if cv})
-        vectors.append(w.normalized())
-    return SingularBasis(mod.params, degree, tuple(vectors))
+    maps = [
+        (partitions(degree - m), [mod.apply_mode(m, mod.monomial(p)).terms for p in basis])
+        for m in (1, 2)
+        if degree - m >= 0
+    ]
+    vectors = tuple(VermaVector(terms).normalized() for terms in joint_kernel(basis, maps, mod.ring))
+    return SingularBasis(mod.params, degree, vectors)
 
 
 def is_singular(vec: VermaVector, params) -> bool:
@@ -151,10 +132,8 @@ def radical_basis(params, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
     mod = _as_module(params)
     g = mod.gram_matrix(degree)
-    coords = nullspace(g.rows(), mod.ring, ncols=len(g.basis))
-    return [
-        VermaVector({p: cv for p, cv in zip(g.basis, x) if cv}) for x in coords
-    ]
+    columns = [dict(zip(g.basis, col)) for col in zip(*g.entries)]
+    return [VermaVector(terms) for terms in joint_kernel(g.basis, [(g.basis, columns)], mod.ring)]
 
 
 def irreducible_dims(params, max_degree: int) -> CharacterTable:
@@ -181,14 +160,7 @@ def reduce_vector_mod_p(vec: VermaVector, p: int) -> VermaVector:
     """
     if not vec:
         return VermaVector.zero()
-    out: Dict[Partition, Scalar] = {}
-    for part, cv in vec.normalized().terms.items():
-        if not isinstance(cv, Fraction):
-            raise TypeError("reduction starts from a rational vector")
-        img = reduce_mod_p(cv, p)
-        if img:
-            out[part] = img
-    return VermaVector(out)
+    return VermaVector(reduce_terms_mod_p(vec.normalized().terms, p))
 
 
 def generated_submodule_dims(params, seeds: Sequence[VermaVector], max_degree: int) -> List[int]:
@@ -199,25 +171,8 @@ def generated_submodule_dims(params, seeds: Sequence[VermaVector], max_degree: i
     saturated degree by degree with the generators L(-1)..L(-max_degree).
     """
     mod = _as_module(params)
-    zero = mod.ring.zero()
-    spans: List[SpanBuilder] = [SpanBuilder(mod.ring) for _ in range(max_degree + 1)]
-    slices: List[List[VermaVector]] = [[] for _ in range(max_degree + 1)]
-
-    def push(w: VermaVector) -> None:
-        d = w.degree()
-        if d is None or d > max_degree:
-            return
-        if spans[d].add(w.coords(partitions(d), zero)):
-            slices[d].append(w)
-
     for w in seeds:
-        if not w:
-            continue
-        if not is_singular(w, mod):
+        if w and not is_singular(w, mod):
             raise ValueError("seed vectors must be singular")
-        push(w)
-    for d in range(max_degree + 1):
-        for w in slices[d]:
-            for k in range(1, max_degree - d + 1):
-                push(mod.apply_mode(-k, w))
-    return [b.dim for b in spans]
+    graded_seeds = [(w.degree(), w) for w in seeds if w]
+    return lowering_closure(graded_seeds, max_degree, mod.ring, partitions, lambda k, w: mod.apply_mode(-k, w))

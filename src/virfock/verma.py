@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .lincomb import LinComb, merge
 from .scalars import (
     Ring,
-    RingMismatchError,
     Scalar,
     central_coeff,
     scalar_from_json,
@@ -55,82 +55,29 @@ def verma_dim(n: int) -> int:
     return len(partitions(n))
 
 
-class VermaVector:
+class VermaVector(LinComb):
     """Finite linear combination of PBW basis monomials.
 
     terms maps partitions to nonzero scalars.  The empty partition () is the
     highest weight vector v itself.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Partition, Scalar]):
-        self.terms = terms
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "VermaVector":
         return cls({})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VermaVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coeff(self, part: Partition, zero: Scalar = 0) -> Scalar:
-        return self.terms.get(tuple(part), zero)
-
     def degree(self) -> int | None:
         """Common degree of all monomials, or None for zero or mixed vectors."""
-        degs = {sum(p) for p in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return self._common(sum)
 
     def is_homogeneous(self) -> bool:
         return len({sum(p) for p in self.terms}) <= 1
 
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return VermaVector(out)
-
-    def __neg__(self) -> "VermaVector":
-        return VermaVector({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "VermaVector":
-        if not s:
-            return VermaVector({})
-        return VermaVector({k: s * v for k, v in self.terms.items()})
-
-    def items(self) -> Iterator[Tuple[Partition, Scalar]]:
-        return iter(sorted(self.terms.items(), reverse=True))
-
     def leading_partition(self) -> Partition:
         """Lexicographically largest partition carrying a nonzero coefficient."""
-        if not self.terms:
-            raise ValueError("zero vector has no leading partition")
-        return max(self.terms)
-
-    def normalized(self) -> "VermaVector":
-        """Scale so the leading partition has coefficient 1."""
-        lead = self.terms[self.leading_partition()]
-        return VermaVector({k: v / lead for k, v in self.terms.items()})
-
-    def coords(self, basis: Sequence[Partition], zero: Scalar) -> List[Scalar]:
-        return [self.terms.get(p, zero) for p in basis]
+        return self._leading_key()
 
     def to_json(self) -> list:
         return [
@@ -145,10 +92,8 @@ class VermaVector:
             p = tuple(int(x) for x in entry["partition"])
             if any(x < 1 for x in p) or list(p) != sorted(p, reverse=True):
                 raise ValueError(f"not a partition: {p}")
-            cv = scalar_from_json(entry["coeff"], ring)
-            if cv:
-                out[p] = out.get(p, ring.zero()) + cv
-        return cls({k: v for k, v in out.items() if v})
+            merge(out, {p: scalar_from_json(entry["coeff"], ring)})
+        return cls(out)
 
     def __repr__(self):
         if not self.terms:
@@ -184,6 +129,12 @@ class GramMatrix:
 
     def rows(self) -> List[List[Scalar]]:
         return [list(r) for r in self.entries]
+
+    def in_radical(self, vec: VermaVector) -> bool:
+        """True when vec, a vector of this degree, pairs to zero with every
+        basis monomial, i.e. lies in the radical of the form."""
+        support = [(j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms]
+        return not any(sum(row[j] * cv for j, cv in support) for row in self.entries)
 
 
 class VermaModule:
@@ -246,35 +197,27 @@ class VermaModule:
             out = self._prepend(m1, self._act(n, tail))
             k = self.ring.of_int(n + m1)
             if k:
-                out = _merge(out, self._act(n - m1, tail), k)
+                merge(out, self._act(n - m1, tail), k)
             if n == m1:
                 z = central_coeff(n, self.ring) * self.c
                 if z:
-                    out = _merge(out, {tail: self._one}, z)
+                    merge(out, {tail: self._one}, z)
         self._memo[key] = out
         return out
 
     def _prepend(self, m1: int, terms: Dict[Partition, Scalar]) -> Dict[Partition, Scalar]:
         """Left multiply by L(-m1), restraightening where the order breaks."""
-        out: Dict[Partition, Scalar] = {}
+        out = {(m1,) + p: cv for p, cv in terms.items() if not p or m1 >= p[0]}
         for p, cv in terms.items():
-            if not p or m1 >= p[0]:
-                q = (m1,) + p
-                s = out.get(q)
-                s = cv if s is None else s + cv
-                if s:
-                    out[q] = s
-                else:
-                    out.pop(q, None)
-            else:
-                out = _merge(out, self._act(-m1, p), cv)
+            if p and m1 < p[0]:
+                merge(out, self._act(-m1, p), cv)
         return out
 
     def apply_mode(self, n: int, vec: VermaVector) -> VermaVector:
         """L(n) applied to a vector.  Degree m maps to degree m - n."""
         out: Dict[Partition, Scalar] = {}
         for p, cv in vec.terms.items():
-            out = _merge(out, self._act(n, p), cv)
+            merge(out, self._act(n, p), cv)
         return VermaVector(out)
 
     def apply_word(self, modes: Sequence[int], vec: VermaVector) -> VermaVector:
@@ -322,18 +265,6 @@ class VermaModule:
         return VermaVector({p: cv for p, cv in vec.terms.items() if 1 not in p})
 
 
-def _merge(acc: Dict[Partition, Scalar], add: Dict[Partition, Scalar], factor: Scalar) -> Dict[Partition, Scalar]:
-    """acc + factor * add, pruning zeros; acc is consumed and returned."""
-    for k, v in add.items():
-        s = acc.get(k)
-        t = factor * v if s is None else s + factor * v
-        if t:
-            acc[k] = t
-        else:
-            acc.pop(k, None)
-    return acc
-
-
 _module_cache: Dict[ModuleParams, VermaModule] = {}
 
 
@@ -350,9 +281,13 @@ def verma_module(c, h, ring: Ring = None) -> VermaModule:
     return mod
 
 
-def apply_mode(n: int, vec: VermaVector, params: ModuleParams) -> VermaVector:
-    """Functional form of the mode action for a given parameter triple."""
-    return verma_module(params.c, params.h, params.ring).apply_mode(n, vec)
+def _as_module(params) -> VermaModule:
+    """A VermaModule as given, or the shared one for a ModuleParams triple."""
+    if isinstance(params, VermaModule):
+        return params
+    if isinstance(params, ModuleParams):
+        return verma_module(params.c, params.h, params.ring)
+    raise TypeError(f"expected ModuleParams or VermaModule, got {params!r}")
 
 
 def gram_matrix(params: ModuleParams, degree: int) -> GramMatrix:

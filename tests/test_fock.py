@@ -106,6 +106,31 @@ def test_r_anticommutation_includes_the_zero_mode(m, n, t):
     assert lhs == (x if m + n == 0 else x.scale(Fraction(0)))
 
 
+def _all_monomials(magnitudes, max_weight2):
+    out = []
+    for k in range(len(magnitudes) + 1):
+        for combo in combinations(magnitudes, k):
+            if sum(combo) <= max_weight2:
+                out.append(tuple(sorted(combo, reverse=True)))
+    return out
+
+
+@pytest.mark.parametrize("sector", [NS, RAMOND])
+def test_fermion_modes_map_distinct_monomials_to_distinct_monomials(sector):
+    # apply_fermion stores each image term without merging, which is exact
+    # only because a(m) is injective on basis monomials.
+    parity = 1 if sector == NS else 0
+    monomials = _all_monomials(range(parity, 21, 2), 20)
+    for m2 in (m2 for m2 in range(-10, 11) if m2 % 2 == parity):
+        seen = {}
+        for t in monomials:
+            image = apply_fermion(Fraction(m2, 2), FockVector(sector, QQ, {t: QQ.one()}))
+            assert len(image.terms) <= 1
+            for u in image.terms:
+                assert u not in seen, (m2, t, seen.get(u))
+                seen[u] = t
+
+
 def test_sector_mismatch_is_rejected():
     with pytest.raises(ValueError):
         apply_fermion(0, vacuum(NS))

@@ -12,6 +12,7 @@ from virfock.scalars import (
     QQ,
     CharacteristicTwoError,
     DenominatorDivisibleByP,
+    Fp,
     Poly,
     RingMismatchError,
     central_coeff,
@@ -142,6 +143,23 @@ def test_ring_mismatches_raise():
         formal_ring(0).h() + formal_ring(7).h()
     with pytest.raises(RingMismatchError):
         GF(5).of_int(1) + GF(7).of_int(1)
+
+
+def test_scalars_compare_equal_only_within_their_own_type():
+    # Equal values must hash equal, so a residue or a constant polynomial
+    # never equals a plain number: they would land in different dict slots.
+    assert Fp(3, 7) != 3 and Fp(3, 7) != 10 and 3 != Fp(3, 7)
+    assert Fp(3, 7) != Fraction(3)
+    assert {Fp(3, 7): 1}.get(3) is None
+    assert Poly((Fraction(3),)) != Fraction(3) and Poly((Fraction(3),)) != 3
+    assert Poly((Fp(3, 7),), 7) != Fp(3, 7)
+    equal_pairs = (
+        (Fp(3, 7), Fp(10, 7)),
+        (Poly((Fraction(3), Fraction(0))), Poly((Fraction(3),))),
+        (Poly((Fp(3, 7),), 7), Poly((Fp(10, 7), Fp(7, 7)), 7)),
+    )
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b)
 
 
 def test_rationals_lift_into_prime_field_polynomials():
