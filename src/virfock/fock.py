@@ -217,12 +217,10 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
     ring = vec.ring
     out: Dict[FockMonomial, Scalar] = {}
     bound2 = vec.max_weight2() + 2 * abs(n) + 2
-    start2 = 1 if vec.sector == NS else 0
-    step = 2
-    for j2 in range(start2, bound2 + 1, step):
-        for sj2 in ((j2, -j2) if j2 else (0,)):
-            if sj2 == 0:
-                continue
+    # j = 0 contributes nothing (its coefficient is j/2), so R starts at j = 1.
+    start2 = 1 if vec.sector == NS else 2
+    for j2 in range(start2, bound2 + 1, 2):
+        for sj2 in (j2, -j2):
             x2, y2 = -sj2, 2 * n + sj2
             if x2 <= y2:
                 coeff = ring.of_int(sj2) / ring.of_int(4)
@@ -230,6 +228,8 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
             else:
                 coeff = -(ring.of_int(sj2) / ring.of_int(4))
                 first, second = x2, y2
+            if not coeff:  # over F_p, p divides 2j
+                continue
             w = apply_fermion(Fraction(first, 2), vec)
             if not w:
                 continue

@@ -68,8 +68,16 @@ class LinComb:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def coeff(self, key: Sequence, zero: Scalar = 0) -> Scalar:
-        return self.terms.get(tuple(key), zero)
+    def coeff(self, key: Sequence, zero: Scalar | None = None) -> Scalar:
+        """Coefficient of key.  A missing key gives zero, by default the zero
+        of the vector's own ring (Fp and Poly zeros do not equal the int 0);
+        the zero vector, whose ring is unknown, gives the int 0."""
+        hit = self.terms.get(tuple(key))
+        if hit is not None:
+            return hit
+        if zero is None:
+            zero = 0 * next(iter(self.terms.values()), 0)
+        return zero
 
     def __add__(self, other: "LinComb") -> "LinComb":
         return self._like(merge(dict(self.terms), other.terms))

@@ -9,7 +9,9 @@ V(c, h) has the PBW basis L(-n1)...L(-nk) v indexed by partitions
 (n1 >= ... >= nk >= 1); the mode action is computed by recursive
 straightening (commuting positive modes to the right until they hit the
 highest weight vector) and memoized per module on (mode, partition) pairs,
-so repeated Gram and singular-vector computations share all work.
+so singular-vector and Gram computations share all straightening work.
+Gram matrices are built from that memo by the adjointness recurrence over
+degrees and cached per module, each degree once.
 
 Every computation here is pure: vectors are immutable maps from partitions
 to scalars, and independent degrees may be processed in any order.
@@ -230,28 +232,43 @@ class VermaModule:
     def gram_matrix(self, degree: int) -> GramMatrix:
         """Contravariant Gram matrix of one degree slice.
 
-        Entry (i, j) pairs basis monomials lambda, mu by applying the adjoint
-        word L(lambda_k)...L(lambda_1) to L(-mu) v and reading the
-        coefficient of v.  Computed entrywise with no symmetry shortcut; the
-        test suite checks symmetry independently.
+        Built by the adjointness recurrence: for lambda = (k, lambda') the
+        form moves L(-k) across as L(k), so
+
+            G_n[lambda, mu] = sum_nu G_{n-k}[lambda', nu] [L(k) L(-mu) v]_nu.
+
+        Each column mu takes one straightening L(k) L(-mu) v per first part
+        k, and each entry is a short dot product with a row of a lower
+        degree.  Degrees are filled bottom-up, so every lower slice is
+        cached too.  No symmetry shortcut is taken; the test suite checks
+        symmetry, and the entrywise definition, independently.
         """
-        cached = self._gram.get(degree)
-        if cached is not None:
-            return cached
-        basis = partitions(degree)
-        cols = [self.monomial(mu) if mu else self.vacuum() for mu in basis]
-        rows = []
-        for lam in basis:
-            row = []
-            for w in cols:
-                r = w
-                for part in lam:
-                    r = self.apply_mode(part, r)
-                row.append(r.terms.get((), self._zero))
-            rows.append(tuple(row))
-        g = GramMatrix(degree, basis, tuple(rows))
-        self._gram[degree] = g
-        return g
+        if degree < 0:
+            return GramMatrix(degree, (), ())
+        for n in range(len(self._gram), degree + 1):
+            self._gram[n] = self._gram_from_lower(n)
+        return self._gram[degree]
+
+    def _gram_from_lower(self, n: int) -> GramMatrix:
+        """Degree-n Gram matrix from the cached slices of degree below n."""
+        basis = partitions(n)
+        if not n:
+            return GramMatrix(0, basis, ((self._one,),))
+        zero = self._zero
+        rows: List[List[Scalar]] = [[] for _ in basis]
+        i = 0
+        # Rows with first part k form one contiguous block of the basis.
+        for k in range(n, 0, -1):
+            lower = self._gram[n - k]
+            index = {nu: j for j, nu in enumerate(lower.basis)}
+            block = [(rows[i + r], lower.entries[index[rest]])
+                     for r, rest in enumerate(partitions(n - k, k))]
+            for mu in basis:
+                pairs = [(index[nu], cv) for nu, cv in self._act(k, mu).items()]
+                for out, low in block:
+                    out.append(sum([low[j] * cv for j, cv in pairs], zero))
+            i += len(block)
+        return GramMatrix(n, basis, tuple(map(tuple, rows)))
 
     def project_vacuum_module(self, vec: VermaVector) -> VermaVector:
         """Image in the quotient by the submodule generated by L(-1) v.

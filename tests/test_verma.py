@@ -2,12 +2,15 @@
 and contravariant Gram matrices, over Q, F_p, and with formal weight."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from virfock.scalars import GF, QQ, central_coeff, formal_ring
-from virfock.verma import VermaVector, gram_matrix, verma_dim, verma_module
+from conftest import fractions
+from virfock.linalg import det
+from virfock.scalars import GF, QQ, DenominatorDivisibleByP, central_coeff, formal_ring
+from virfock.verma import VermaModule, VermaVector, gram_matrix, partitions, verma_dim, verma_module
 
 SAMPLE_PARAMS = [
     (Fraction(1, 2), Fraction(0)),
@@ -152,6 +155,93 @@ def test_gram_matrices_are_symmetric(params, deg):
             assert gram.entries[i][j] == gram.entries[j][i]
 
 
+def _entrywise_gram(mod, n):
+    """Gram matrix by its definition: entry (lambda, mu) is the coefficient
+    of v in L(lambda_k)...L(lambda_1) L(-mu) v."""
+    basis = partitions(n)
+    rows = []
+    for lam in basis:
+        row = []
+        for mu in basis:
+            r = mod.monomial(mu)
+            for part in lam:
+                r = mod.apply_mode(part, r)
+            row.append(r.terms.get((), mod.ring.zero()))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+GRAM_CASES = [
+    (Fraction(1, 2), Fraction(1, 16), QQ),
+    (Fraction(-22, 5), Fraction(-1, 5), QQ),
+    (Fraction(1, 2), Fraction(1, 16), GF(3)),
+    (Fraction(1, 2), Fraction(0), GF(7)),
+    (Fraction(1, 2), None, formal_ring(0)),
+]
+
+
+@pytest.mark.parametrize("c,h,ring", GRAM_CASES, ids=["Q", "Q-c-22_5", "F3", "F7", "Q[h]"])
+def test_gram_recurrence_matches_entrywise_definition(c, h, ring):
+    h = ring.h() if h is None else h
+    mod = VermaModule(c, h, ring)
+    oracle = VermaModule(c, h, ring)
+    for n in range(10):
+        got = mod.gram_matrix(n).entries
+        want = _entrywise_gram(oracle, n)
+        assert got == want
+        assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
+
+
+def test_gram_requested_first_at_degree_ten_matches_upward_fill():
+    upward = VermaModule(Fraction(1, 2), Fraction(1, 16))
+    for n in range(11):
+        upward.gram_matrix(n)
+    fresh = VermaModule(Fraction(1, 2), Fraction(1, 16))
+    assert fresh.gram_matrix(10) == upward.gram_matrix(10)
+    assert fresh.gram_matrix(7) == upward.gram_matrix(7)
+
+
+def _kac_h(r, s, t):
+    return Fraction(r * r - 1) * t / 4 - Fraction(r * s - 1, 2) + Fraction(s * s - 1) / (4 * t)
+
+
+def _kac_constant(n):
+    """K_n = prod over (r, s) of ((2r)^s s!)^m(r, s), where m(r, s) counts the
+    partitions of n with exactly s parts equal to r."""
+    k = 1
+    for lam in partitions(n):
+        for r in set(lam):
+            s = lam.count(r)
+            k *= (2 * r) ** s * factorial(s)
+    return k
+
+
+def _kac_determinant(n, t, h):
+    out = Fraction(_kac_constant(n))
+    for r in range(1, n + 1):
+        for s in range(1, n // r + 1):
+            out *= (h - _kac_h(r, s, t)) ** len(partitions(n - r * s))
+    return out
+
+
+@given(t=fractions().filter(bool), h=fractions())
+def test_gram_determinant_is_the_kac_determinant(t, h):
+    c = 13 - 6 * (t + 1 / t)
+    for n in range(7):
+        want = _kac_determinant(n, t, h)
+        assert det(VermaModule(c, h).gram_matrix(n).rows(), QQ) == want
+        for p in (7, 11):
+            ring = GF(p)
+            try:
+                t_p, h_p, want_p = ring.of_fraction(t), ring.of_fraction(h), ring.of_fraction(want)
+            except DenominatorDivisibleByP:
+                continue
+            if not t_p:
+                continue
+            got = det(VermaModule(ring.of_fraction(c), h_p, ring).gram_matrix(n).rows(), ring)
+            assert got == want_p
+
+
 def test_gram_reduces_entrywise_mod_p():
     p = 5
     ring = GF(p)
@@ -211,6 +301,14 @@ def test_vector_json_round_trip():
     data = vec.to_json()
     assert {"partition": [3, 1], "coeff": "-25/6"} in data
     assert VermaVector.from_json(data, QQ) == vec
+
+
+@pytest.mark.parametrize("ring", [GF(7), formal_ring(7)], ids=["F7", "F7[h]"])
+def test_missing_coefficient_is_the_zero_of_the_vector_ring(ring):
+    vec = VermaVector({(1,): ring.one()})
+    assert vec.coeff((2,)) == ring.zero()
+    assert type(vec.coeff((2,))) is type(ring.zero())
+    assert VermaVector.zero().coeff((2,)) == 0
 
 
 def test_apply_word_applies_rightmost_mode_first():
