@@ -18,9 +18,18 @@ The Virasoro operators are the normal-ordered quadratics
     L(n) = 1/2 * sum_j j :a(-j) a(n+j):   (+ 1/16 on L(0) in the R sector)
 
 with normal ordering placing the larger mode index on the right; they
-realize central charge 1/2.  The grading used for dimension counts is the
-sector-adjusted degree: a monomial of weight w counts in degree w - s/2 in
-NS parity s, and in degree w in R.
+realize central charge 1/2.  Collecting the two terms of each pair of modes
+gives the direct rule used to compute them,
+
+    L(n) = sum_{x < y, x + y = n} (y - x)/2 * a(x) a(y),
+
+applied on doubled integer modes and memoized per (sector, ring, n,
+monomial).  On a monomial only the pairs whose a(y) is an annihilator
+present in it, or (n < 0) a creation pair x < y <= 0, can act.
+
+The grading used for dimension counts is the sector-adjusted degree: a
+monomial of weight w counts in degree w - s/2 in NS parity s, and in degree
+w in R.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ _SECTORS = (NS, RAMOND)
 
 def _dbl(x) -> int:
     """Doubled value of an integer or half-integer mode."""
+    if isinstance(x, int):
+        return 2 * x
     d = Fraction(x) * 2
     if d.denominator != 1:
         raise ValueError(f"mode {x} is not a half-integer")
@@ -102,10 +113,6 @@ class FockVector(LinComb):
         if other.sector != self.sector:
             raise ValueError("cannot add vectors from different sectors")
         return super().__add__(other)
-
-    def max_weight2(self) -> int:
-        """Largest doubled weight among the monomials (0 for the zero vector)."""
-        return max((sum(t) for t in self.terms), default=0)
 
     def weight2(self) -> Optional[int]:
         """Common doubled weight, or None for zero or mixed vectors."""
@@ -207,38 +214,50 @@ def apply_fermion(m, vec: FockVector) -> FockVector:
     return vec._like(out)
 
 
-def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
-    """Virasoro mode L(n) = 1/2 sum_j j :a(-j)a(n+j): on a vector.
+@lru_cache(maxsize=None)
+def _virasoro_term(sector: str, ring: Ring, n: int, t: FockMonomial) -> Dict[FockMonomial, Scalar]:
+    """L(n) on one basis monomial by the direct rule, as a raw term dict.
 
-    The sum is truncated to |j| <= max weight of vec + |n| + 1; beyond that
-    the normal-ordered pair annihilates every term.  L(0) in the R sector
-    adds the 1/16 shift.
+    The dict is shared by every later call with the same arguments, so
+    callers merge it into their own dict and never mutate it.
     """
-    ring = vec.ring
+    one = ring.one()
+    quarter = one / ring.of_int(4)
+    # Doubled modes y2 of the a(y) that can act first: annihilators present
+    # in t, then for n < 0 the creation modes y <= 0 with a partner x < y.
+    ys = [y2 for y2 in t if y2 > max(n, 0)]
+    if n < 0:
+        ys.extend(range(0 if sector == RAMOND else -1, n, -2))
     out: Dict[FockMonomial, Scalar] = {}
-    bound2 = vec.max_weight2() + 2 * abs(n) + 2
-    # j = 0 contributes nothing (its coefficient is j/2), so R starts at j = 1.
-    start2 = 1 if vec.sector == NS else 2
-    for j2 in range(start2, bound2 + 1, 2):
-        for sj2 in (j2, -j2):
-            x2, y2 = -sj2, 2 * n + sj2
-            if x2 <= y2:
-                coeff = ring.of_int(sj2) / ring.of_int(4)
-                first, second = y2, x2
-            else:
-                coeff = -(ring.of_int(sj2) / ring.of_int(4))
-                first, second = x2, y2
-            if not coeff:  # over F_p, p divides 2j
-                continue
-            w = apply_fermion(Fraction(first, 2), vec)
-            if not w:
-                continue
-            w = apply_fermion(Fraction(second, 2), w)
-            if not w:
-                continue
-            merge(out, w.terms, coeff)
-    if n == 0 and vec.sector == RAMOND:
-        merge(out, vec.terms, ring.one() / ring.of_int(16))
+    for y2 in ys:
+        x2 = 2 * n - y2
+        coeff = ring.of_int(y2 - x2)
+        if not coeff:  # over F_p, p divides y - x
+            continue
+        hit = _apply_fermion_term(y2, t, one)
+        if hit is None:
+            continue
+        hit2 = _apply_fermion_term(x2, hit[0], one)
+        if hit2 is None:
+            continue
+        merge(out, {hit2[0]: coeff * quarter * hit[1] * hit2[1]})
+    if n == 0 and sector == RAMOND:
+        merge(out, {t: one / ring.of_int(16)})
+    return out
+
+
+def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
+    """Virasoro mode L(n) on a vector, by the direct rule
+
+        L(n) = sum_{x < y, x + y = n} (y - x)/2 * a(x) a(y)
+
+    (+ 1/16 on L(0) in the R sector), which is 1/2 sum_j j :a(-j)a(n+j):
+    with the two terms of each pair collected.  The image of each monomial
+    is memoized; the result is a fresh vector.
+    """
+    out: Dict[FockMonomial, Scalar] = {}
+    for t, cv in vec.terms.items():
+        merge(out, _virasoro_term(vec.sector, vec.ring, n, t), cv)
     return vec._like(out)
 
 

@@ -179,35 +179,36 @@ class SpanBuilder:
 
     add() reduces the incoming coordinate row against the stored pivots and
     reports whether it enlarged the span.  contains() is the same reduction
-    without insertion.
+    without insertion.  Pivot rows are stored sparse, as (pivot column,
+    [(column, entry), ...]) over their nonzero entries with entry 1 at the
+    pivot, so a reduction step touches only those columns.
     """
 
     def __init__(self, ring: Ring):
         if ring.formal:
             raise RingMismatchError("SpanBuilder needs a field, not a polynomial ring")
         self.ring = ring
-        self._rows: List[Tuple[int, List[Scalar]]] = []
+        self._rows: List[Tuple[int, List[Tuple[int, Scalar]]]] = []
 
-    def _reduce(self, row: List[Scalar]) -> List[Scalar]:
-        row = list(row)
+    def _reduce(self, row: Sequence[Scalar]) -> List[Scalar]:
+        row = [self.ring.coerce(x) for x in row]
         for pc, pr in self._rows:
-            if row[pc]:
-                f = row[pc]
-                row = [x - f * y for x, y in zip(row, pr)]
+            f = row[pc]
+            if f:
+                for j, y in pr:
+                    row[j] = row[j] - f * y
         return row
 
     def contains(self, row: Sequence[Scalar]) -> bool:
-        red = self._reduce([self.ring.coerce(x) for x in row])
-        return not any(red)
+        return not any(self._reduce(row))
 
     def add(self, row: Sequence[Scalar]) -> bool:
-        red = self._reduce([self.ring.coerce(x) for x in row])
+        red = self._reduce(row)
         pc = next((j for j, x in enumerate(red) if x), None)
         if pc is None:
             return False
         inv = red[pc]
-        red = [x / inv for x in red]
-        self._rows.append((pc, red))
+        self._rows.append((pc, [(j, x / inv) for j, x in enumerate(red) if x]))
         return True
 
     @property

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .lincomb import LinComb, merge
 from .scalars import (
+    Fp,
     Ring,
     Scalar,
     central_coeff,
@@ -152,6 +153,9 @@ class VermaModule:
         self._one = ring.one()
         self._memo: Dict[Tuple[int, Partition], Dict[Partition, Scalar]] = {}
         self._gram: Dict[int, GramMatrix] = {}
+        # Over F_p, one shared Gram-entry object per residue met so far (a
+        # dict, not a list of all p, so a large prime costs nothing upfront).
+        self._residues: Dict[int, Fp] | None = None if ring.formal or not ring.char else {}
 
     @property
     def params(self) -> ModuleParams:
@@ -254,7 +258,7 @@ class VermaModule:
         basis = partitions(n)
         if not n:
             return GramMatrix(0, basis, ((self._one,),))
-        zero = self._zero
+        zero, residues = self._zero, self._residues
         rows: List[List[Scalar]] = [[] for _ in basis]
         i = 0
         # Rows with first part k form one contiguous block of the basis.
@@ -266,7 +270,8 @@ class VermaModule:
             for mu in basis:
                 pairs = [(index[nu], cv) for nu, cv in self._act(k, mu).items()]
                 for out, low in block:
-                    out.append(sum([low[j] * cv for j, cv in pairs], zero))
+                    entry = sum([low[j] * cv for j, cv in pairs], zero)
+                    out.append(entry if residues is None else residues.setdefault(entry.v, entry))
             i += len(block)
         return GramMatrix(n, basis, tuple(map(tuple, rows)))
 

@@ -27,6 +27,7 @@ from virfock.fock import (
     vacuum,
     vir_span_dims,
 )
+from virfock.lincomb import merge
 from virfock.scalars import GF, QQ, central_coeff
 
 HALF = Fraction(1, 2)
@@ -147,6 +148,62 @@ def test_virasoro_examples():
     assert apply_virasoro_fock(0, vacuum(RAMOND)) == vacuum(RAMOND).scale(Fraction(1, 16))
     a = fermion_monomial(NS, [-HALF])
     assert apply_virasoro_fock(-1, a) == fermion_monomial(NS, [-Fraction(3, 2)])
+
+
+def _j_sum_virasoro(n, vec):
+    """L(n) = 1/2 sum_j j :a(-j)a(n+j): term by term over j, with the sum
+    truncated where every normal-ordered pair annihilates vec; the
+    definition the direct rule of apply_virasoro_fock is checked against."""
+    ring = vec.ring
+    out = {}
+    bound2 = max((sum(t) for t in vec.terms), default=0) + 2 * abs(n) + 2
+    for j2 in range(1 if vec.sector == NS else 2, bound2 + 1, 2):
+        for sj2 in (j2, -j2):
+            x2, y2 = -sj2, 2 * n + sj2
+            # :a(x)a(y): puts the larger mode on the right, with a sign.
+            coeff = ring.of_int(sj2) / ring.of_int(4)
+            if x2 > y2:
+                x2, y2, coeff = y2, x2, -coeff
+            w = apply_fermion(Fraction(x2, 2), apply_fermion(Fraction(y2, 2), vec))
+            merge(out, w.terms, coeff)
+    if n == 0 and vec.sector == RAMOND:
+        merge(out, vec.terms, ring.one() / ring.of_int(16))
+    return FockVector(vec.sector, ring, out)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(7)], ids=["Q", "F3", "F7"])
+@pytest.mark.parametrize("sector", [NS, RAMOND])
+def test_direct_rule_matches_j_sum_definition(sector, ring):
+    # Over F_3, 3 | (y - x) zeroes whole pairs, which the direct rule skips.
+    for parity in (0, 1):
+        for degree in range(9):
+            for t in sector_basis(sector, parity, degree):
+                x = FockVector(sector, ring, {t: ring.one()})
+                for n in range(-7, 8):
+                    got = apply_virasoro_fock(n, x)
+                    want = _j_sum_virasoro(n, x)
+                    assert got == want, (sector, t, n)
+                    assert {k: type(v) for k, v in got.terms.items()} == \
+                        {k: type(v) for k, v in want.terms.items()}
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_memoized_images_do_not_leak_into_results(ring):
+    x = FockVector(NS, ring, {(5, 3, 1): ring.one(), (7, 1): ring.of_int(2)})
+    first = apply_virasoro_fock(-2, x)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(99,)] = ring.one()
+    assert apply_virasoro_fock(-2, x).terms == want
+    # A single monomial with coefficient 1 is the case where handing out the
+    # memoized dict itself would be tempting.
+    y = FockVector(NS, ring, {(3, 1): ring.one()})
+    img = apply_virasoro_fock(-1, y)
+    want = dict(img.terms)
+    assert want
+    for k in want:
+        img.terms[k] = img.terms[k] + ring.one()
+    assert apply_virasoro_fock(-1, y).terms == want
 
 
 @given(

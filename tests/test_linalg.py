@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import fractions
+from conftest import fp_elements, fractions
 from virfock.linalg import SpanBuilder, det, nullspace, rank
 from virfock.scalars import GF, QQ
 from virfock.verma import verma_module
@@ -153,3 +153,40 @@ def test_span_builder_dimension_equals_rank(rows):
     for row in rows:
         sb.add(row)
     assert sb.dim == rank(rows, QQ)
+
+
+@st.composite
+def sparse_span_case(draw):
+    """A ring, a sparse matrix over it with whole zero columns and rows that
+    are combinations of earlier rows, and probe rows for contains()."""
+    ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
+    entries = fractions(max_num=5, max_den=3) if ring.char == 0 else fp_elements(ring.char)
+    zero = ring.zero()
+    ncols = draw(st.integers(1, 9))
+    live = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+
+    def sparse_row():
+        return [draw(entries) if on and draw(st.integers(0, 2)) == 0 else zero for on in live]
+
+    def combination(rows):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s = ring.coerce(draw(entries))
+        return [x + s * y for x, y in zip(a, b)]
+
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        rows.append(combination(rows) if rows and draw(st.booleans()) else sparse_row())
+    probes = [combination(rows), sparse_row(), [zero] * ncols, draw(st.sampled_from(rows))]
+    return ring, rows, probes
+
+
+@given(sparse_span_case())
+def test_span_builder_on_sparse_rank_deficient_rows(case):
+    ring, rows, probes = case
+    sb = SpanBuilder(ring)
+    for i, row in enumerate(rows):
+        assert sb.add(row) == (rank(rows[: i + 1], ring) > rank(rows[:i], ring))
+    assert sb.dim == rank(rows, ring)
+    for r in probes:
+        assert sb.contains(r) == (rank(rows + [r], ring) == rank(rows, ring))
+    assert sb.dim == rank(rows, ring)
