@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .battery import VerificationReport, run_battery
+from .battery import run_battery
 from .fock import (
     NS,
     RAMOND,
@@ -44,34 +43,13 @@ from .verma import VermaModule, verma_module
 FORMATS = ("json", "csv", "pretty")
 
 
-@dataclass
-class RunConfig:
-    """Parsed command-line invocation."""
-
-    command: str
-    c: str = "1/2"
-    h: str = "0"
-    char: int = 0
-    degree: int = 1
-    max_degree: int = 10
-    sector: str = NS
-    parity: int = 0
-    fmt: str = "json"
-    out: Optional[str] = None
-    compare_char0: bool = False
-    only: Optional[str] = None
-    state: str = "s"
-    n: int = 0
-    target: str = "[]"
-
-
 def _ring(char: int, formal: bool = False) -> Ring:
     if formal:
         return formal_ring(char)
     return QQ if char == 0 else GF(char)
 
 
-def _module(cfg: RunConfig) -> VermaModule:
+def _module(cfg: argparse.Namespace) -> VermaModule:
     formal = cfg.h.strip() == "h"
     ring = _ring(cfg.char, formal)
     return verma_module(ring.parse(cfg.c), ring.parse(cfg.h), ring)
@@ -90,13 +68,13 @@ def _weight_str(sector: str, parity: int, degree: int) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_singvec(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_singvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
     mod = _module(cfg)
     sb = singular_space(mod, cfg.degree)
     return sb.to_json(), 0
 
 
-def cmd_irrdims(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_irrdims(cfg: argparse.Namespace) -> Tuple[dict, int]:
     mod = _module(cfg)
     table = irreducible_dims(mod, cfg.max_degree)
     data = table.to_json()
@@ -110,7 +88,7 @@ def cmd_irrdims(cfg: RunConfig) -> Tuple[dict, int]:
     return data, 0
 
 
-def cmd_fock_dims(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_fock_dims(cfg: argparse.Namespace) -> Tuple[dict, int]:
     dims = sector_dims(cfg.sector, cfg.parity, cfg.max_degree)
     return {
         "sector": cfg.sector,
@@ -122,7 +100,7 @@ def cmd_fock_dims(cfg: RunConfig) -> Tuple[dict, int]:
     }, 0
 
 
-def cmd_vir_span(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
     ring = _ring(cfg.char)
     start = sector_hw_vector(cfg.sector, cfg.parity, ring)
     dims = vir_span_dims(start, cfg.max_degree)
@@ -135,7 +113,7 @@ def cmd_vir_span(cfg: RunConfig) -> Tuple[dict, int]:
     }, 0
 
 
-def cmd_hwvec(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_hwvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
     ring = _ring(cfg.char)
     weight = Fraction(cfg.degree)
     if cfg.sector == NS and cfg.parity == 1:
@@ -157,7 +135,7 @@ def _parse_word(text: str) -> List[int]:
     return word
 
 
-def cmd_mode_apply(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_mode_apply(cfg: argparse.Namespace) -> Tuple[dict, int]:
     mod = _module(cfg)
     ring = mod.ring
     if cfg.state in ("s", "u"):
@@ -181,14 +159,14 @@ def cmd_mode_apply(cfg: RunConfig) -> Tuple[dict, int]:
     }, 0
 
 
-def cmd_verify_paper(cfg: RunConfig) -> Tuple[dict, int]:
+def cmd_verify_paper(cfg: argparse.Namespace) -> Tuple[dict, int]:
     report = run_battery(cfg.only)
     if not report.results:
         raise ValueError(f"no checks match --only {cfg.only!r}")
     return report.to_json(), 0 if report.ok else 1
 
 
-COMMANDS: Dict[str, Callable[[RunConfig], Tuple[dict, int]]] = {
+COMMANDS: Dict[str, Callable[[argparse.Namespace], Tuple[dict, int]]] = {
     "singvec": cmd_singvec,
     "irrdims": cmd_irrdims,
     "fock-dims": cmd_fock_dims,
@@ -319,7 +297,7 @@ def render_pretty(command: str, data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(cfg: RunConfig, data: dict) -> str:
+def render(cfg: argparse.Namespace, data: dict) -> str:
     if cfg.fmt == "json":
         return render_json(data)
     if cfg.fmt == "csv":
@@ -388,36 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in (
-        "c",
-        "h",
-        "char",
-        "degree",
-        "max_degree",
-        "sector",
-        "parity",
-        "fmt",
-        "out",
-        "compare_char0",
-        "only",
-        "state",
-        "n",
-        "target",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if cfg.degree < 0 or cfg.max_degree < 0:
-        raise ValueError("degree bounds must be nonnegative")
-    return cfg
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    cfg = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        if getattr(cfg, "degree", 0) < 0 or getattr(cfg, "max_degree", 0) < 0:
+            raise ValueError("degree bounds must be nonnegative")
         data, code = COMMANDS[cfg.command](cfg)
         text = render(cfg, data)
     except (CharacteristicTwoError, DenominatorDivisibleByP, ValueError, TypeError) as exc:

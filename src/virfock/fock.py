@@ -35,7 +35,7 @@ w in R.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .lincomb import LinComb, merge, reduce_terms_mod_p
@@ -328,14 +328,15 @@ def vir_span_dims(start: FockVector, max_degree: int) -> List[int]:
     """Graded dimensions of the span of all lowering words
     L(-k_1)...L(-k_j) start, indexed by sector-adjusted degree 0..max_degree.
 
-    Slices are saturated degree by degree with the generators
-    L(-1)..L(-max_degree); deeper words are reached iteratively.
+    Computed by lowering_closure with lower(k, w) = L(-k) w: slices are
+    saturated degree by degree with the generators L(-1)..L(-max_degree),
+    each tracked by the term dicts of the vectors reaching it, so no slice
+    basis is built; deeper words are reached iteratively.
     """
     if not start:
         raise ValueError("start vector must be nonzero")
-    basis = partial(sector_basis, start.sector, start.parity())
     seeds = [(start.adjusted_degree(), start)]
-    return lowering_closure(seeds, max_degree, start.ring, basis, lambda k, w: apply_virasoro_fock(-k, w))
+    return lowering_closure(seeds, max_degree, start.ring, lambda k, w: apply_virasoro_fock(-k, w))
 
 
 def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[FockVector]:
@@ -350,11 +351,8 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
         raise ValueError("R-sector weights are integers")
     degree = (w2 - parity) // 2 if sector == NS else w2 // 2
     basis = sector_basis(sector, parity, degree)
-    maps = []
-    for m in (1, 2):
-        if degree - m >= 0:
-            images = [apply_virasoro_fock(m, FockVector(sector, ring, {t: ring.one()})).terms for t in basis]
-            maps.append((sector_basis(sector, parity, degree - m), images))
+    one = ring.one()
+    maps = [[apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms for t in basis] for m in (1, 2)]
     return [FockVector(sector, ring, terms).normalized() for terms in joint_kernel(basis, maps, ring)]
 
 
@@ -363,8 +361,10 @@ def sigma(vec: FockVector) -> FockVector:
 
     Monomials without a(0) gain a trailing a(0); monomials ending in a(0)
     contract it with coefficient 1/2.  No sign arises because the factor is
-    appended at the innermost position.  Defined on even-parity vectors and
-    inverts (up to the factor 2) on odd ones.
+    appended at the innermost position.  Defined on even-parity vectors
+    only; an odd-parity vector raises ValueError.  Since a(0)^2 = 1/2, it
+    maps each even weight slice bijectively onto the odd slice of the same
+    weight.
     """
     if vec.sector != RAMOND:
         raise ValueError("sigma is defined on the R sector")

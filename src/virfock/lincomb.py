@@ -9,7 +9,7 @@ term dict with the arithmetic shared by the Verma and Fock vector classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Sequence, Tuple
 
 from .scalars import Scalar, reduce_mod_p
 
@@ -112,6 +112,3 @@ class LinComb:
         """Scale so the largest key has coefficient 1."""
         lead = self.terms[self._leading_key()]
         return self._like({k: v / lead for k, v in self.terms.items()})
-
-    def coords(self, basis: Sequence, zero: Scalar) -> List[Scalar]:
-        return [self.terms.get(k, zero) for k in basis]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .lincomb import reduce_terms_mod_p
-from .linalg import joint_kernel, lowering_closure, rank
+from .linalg import joint_kernel, lowering_closure, nullspace, rank
 from .scalars import scalar_to_str
 from .verma import (
     ModuleParams,
@@ -104,11 +104,7 @@ def singular_space(params, degree: int) -> SingularBasis:
     if degree < 1:
         raise ValueError("singular vectors have positive degree")
     basis = partitions(degree)
-    maps = [
-        (partitions(degree - m), [mod.apply_mode(m, mod.monomial(p)).terms for p in basis])
-        for m in (1, 2)
-        if degree - m >= 0
-    ]
+    maps = [[mod.apply_mode(m, mod.monomial(p)).terms for p in basis] for m in (1, 2)]
     vectors = tuple(VermaVector(terms).normalized() for terms in joint_kernel(basis, maps, mod.ring))
     return SingularBasis(mod.params, degree, vectors)
 
@@ -132,8 +128,7 @@ def radical_basis(params, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
     mod = _as_module(params)
     g = mod.gram_matrix(degree)
-    columns = [dict(zip(g.basis, col)) for col in zip(*g.entries)]
-    return [VermaVector(terms) for terms in joint_kernel(g.basis, [(g.basis, columns)], mod.ring)]
+    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.rows(), mod.ring)]
 
 
 def irreducible_dims(params, max_degree: int) -> CharacterTable:
@@ -167,12 +162,14 @@ def generated_submodule_dims(params, seeds: Sequence[VermaVector], max_degree: i
     """Graded dimensions of the submodule generated by singular seed vectors.
 
     Each seed must be homogeneous and killed by all positive modes, so the
-    submodule is spanned by lowering words applied to seeds; slices are
-    saturated degree by degree with the generators L(-1)..L(-max_degree).
+    submodule is spanned by lowering words applied to seeds.  Computed by
+    lowering_closure with lower(k, w) = L(-k) w: slices are saturated degree
+    by degree with the generators L(-1)..L(-max_degree), each tracked by the
+    term dicts of the vectors reaching it, so no partition basis is built.
     """
     mod = _as_module(params)
     for w in seeds:
         if w and not is_singular(w, mod):
             raise ValueError("seed vectors must be singular")
     graded_seeds = [(w.degree(), w) for w in seeds if w]
-    return lowering_closure(graded_seeds, max_degree, mod.ring, partitions, lambda k, w: mod.apply_mode(-k, w))
+    return lowering_closure(graded_seeds, max_degree, mod.ring, lambda k, w: mod.apply_mode(-k, w))

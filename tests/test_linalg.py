@@ -3,11 +3,12 @@ incremental span tracking.  The rational path uses fraction-free elimination,
 so it is cross-checked here against a plain field-division oracle."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, strategies as st
 
 from conftest import fp_elements, fractions
-from virfock.linalg import SpanBuilder, det, nullspace, rank
+from virfock.linalg import SpanBuilder, det, joint_kernel, nullspace, rank
 from virfock.scalars import GF, QQ
 from virfock.verma import verma_module
 
@@ -135,23 +136,108 @@ def test_prime_field_rank_matches_oracle(ints, p):
     assert rank(rows, ring) == oracle_rank(rows, ring)
 
 
+def leibniz_det(rows, ring):
+    """Sum over permutations of signed products; no elimination at all."""
+    n = len(rows)
+    acc = ring.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.one()
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+@st.composite
+def square_case(draw):
+    """A ring and a square matrix over it, n <= 4, with many zero entries
+    (so pivots are often missing from the leading row and rows must swap)
+    and sometimes a row that repeats an earlier one (so it is singular)."""
+    ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
+    entries = fractions(max_num=5, max_den=3).map(ring.coerce) if ring.char == 0 else fp_elements(ring.char)
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(ring.zero()), entries)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    if draw(st.booleans()):
+        rows[0][0] = ring.zero()
+    return ring, rows
+
+
+@given(square_case())
+def test_determinant_matches_leibniz_sum(case):
+    ring, rows = case
+    assert det(rows, ring) == leibniz_det(rows, ring)
+
+
+def test_determinant_sign_of_a_forced_row_swap():
+    for ring in (QQ, GF(3), GF(7)):
+        zero, one, two = ring.zero(), ring.one(), ring.of_int(2)
+        assert det([[zero, one], [one, zero]], ring) == -one
+        assert det([[zero, two, zero], [zero, zero, one], [one, zero, zero]], ring) == two
+
+
+# ---------------------------------------------------------- joint_kernel
+
+def dense_joint_kernel(basis, maps, targets, ring):
+    """Dense rows over each map's full target basis, stacked, then nullspace:
+    the coordinate construction joint_kernel replaced."""
+    zero = ring.zero()
+    rows = [[img.get(q, zero) for img in images] for target, images in zip(targets, maps) for q in target]
+    return [{k: cv for k, cv in zip(basis, x) if cv} for x in nullspace(rows, ring, ncols=len(basis))]
+
+
+@st.composite
+def kernel_case(draw):
+    """A basis, one or two maps given by sparse image term dicts, and each
+    map's full target basis, which includes keys that no image hits; a map
+    may send every basis vector to zero."""
+    ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
+    entries = fractions(max_num=5, max_den=3).map(ring.coerce) if ring.char == 0 else fp_elements(ring.char)
+    basis = [(draw(st.integers(0, 1)), i) for i in range(draw(st.integers(1, 6)))]
+    maps, targets = [], []
+    for m in range(draw(st.integers(1, 2))):
+        target = [(m, j) for j in range(draw(st.integers(1, 6)))]
+        dead = draw(st.booleans()) and draw(st.booleans())
+        images = []
+        for _ in basis:
+            img = {} if dead else {q: draw(entries) for q in target if draw(st.integers(0, 2)) == 0}
+            images.append({q: x for q, x in img.items() if x})
+        maps.append(images)
+        targets.append(draw(st.permutations(target)))
+    return ring, basis, maps, targets
+
+
+@given(kernel_case())
+def test_joint_kernel_matches_dense_stacking(case):
+    ring, basis, maps, targets = case
+    assert joint_kernel(basis, maps, ring) == dense_joint_kernel(basis, maps, targets, ring)
+
+
 # ---------------------------------------------------------- SpanBuilder
+
+def _terms(row, ring):
+    """A coordinate row as the term dict SpanBuilder takes, keyed by column."""
+    return {j: ring.coerce(x) for j, x in enumerate(row) if x}
+
 
 def test_span_builder_tracks_dimension():
     sb = SpanBuilder(QQ)
-    assert sb.add([Fraction(1), Fraction(0), Fraction(2)])
-    assert sb.add([Fraction(0), Fraction(1), Fraction(0)])
-    assert not sb.add([Fraction(2), Fraction(3), Fraction(4)])
+    assert sb.add(_terms([Fraction(1), Fraction(0), Fraction(2)], QQ))
+    assert sb.add(_terms([Fraction(0), Fraction(1), Fraction(0)], QQ))
+    assert not sb.add(_terms([Fraction(2), Fraction(3), Fraction(4)], QQ))
     assert sb.dim == 2
-    assert sb.contains([Fraction(1), Fraction(1), Fraction(2)])
-    assert not sb.contains([Fraction(0), Fraction(0), Fraction(1)])
+    assert sb.contains(_terms([Fraction(1), Fraction(1), Fraction(2)], QQ))
+    assert not sb.contains(_terms([Fraction(0), Fraction(0), Fraction(1)], QQ))
 
 
 @given(matrices(5, 4))
 def test_span_builder_dimension_equals_rank(rows):
     sb = SpanBuilder(QQ)
     for row in rows:
-        sb.add(row)
+        sb.add(_terms(row, QQ))
     assert sb.dim == rank(rows, QQ)
 
 
@@ -185,8 +271,8 @@ def test_span_builder_on_sparse_rank_deficient_rows(case):
     ring, rows, probes = case
     sb = SpanBuilder(ring)
     for i, row in enumerate(rows):
-        assert sb.add(row) == (rank(rows[: i + 1], ring) > rank(rows[:i], ring))
+        assert sb.add(_terms(row, ring)) == (rank(rows[: i + 1], ring) > rank(rows[:i], ring))
     assert sb.dim == rank(rows, ring)
     for r in probes:
-        assert sb.contains(r) == (rank(rows + [r], ring) == rank(rows, ring))
+        assert sb.contains(_terms(r, ring)) == (rank(rows + [r], ring) == rank(rows, ring))
     assert sb.dim == rank(rows, ring)
