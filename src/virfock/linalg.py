@@ -1,13 +1,21 @@
 """Exact linear algebra over Q and F_p.
 
-rank, nullspace and det share one row echelon routine.  Over Q the forward
-elimination is fraction-free (Bareiss): rows are cleared to integers and
-every update divides exactly by the previous pivot, which keeps
-intermediate entries polynomial-sized instead of letting gcd work dominate;
-the last pivot, the row-swap sign and the clearing multipliers give the
-determinant.  Over F_p a plain modular elimination is used, and the
-determinant is the signed product of the pivots.  Both paths report pivot
-columns so null spaces come out of one back substitution.
+Every entry point first turns its rows into sparse {column: entry} dicts
+without zero entries (int residues in [0, p) over F_p, Fractions over Q);
+that one pass over the matrix also rejects scalars of another ring.
+
+Elimination is one sparse row echelon.  Rows are taken in descending order
+of their leading (smallest) column, and each is reduced against the stored
+pivot rows by its smallest column until it is zero or its smallest column
+has no pivot yet, where it is stored scaled to 1.  The pivot columns are the
+RREF pivot columns, which depend only on the row space, so the free columns
+and the kernel basis with unit free coordinates do not depend on the row
+order.  Over F_p rank, nullspace and det all use it.  Over Q, nullspace
+first runs it mod the prime P = 2^31 - 1: rank mod P is at most the rank
+over Q, so full column rank mod P proves the kernel empty.  Otherwise the
+echelon runs on the Fractions themselves.  rank and det over Q stay on
+dense fraction-free Bareiss elimination, which suits the dense Gram
+matrices they are called on.
 
 SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
 scalar}, the `terms` of every vector class, so callers never build
@@ -17,48 +25,139 @@ coordinate rows or pass a target basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Callable, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
 
 from .lincomb import Terms, merge
 from .scalars import Fp, Ring, RingMismatchError, Scalar
 
+Entry = Union[int, Fraction]  # an int residue mod p, or a rational
+SparseRow = Dict[int, Entry]
+Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
-    """Rows cleared of denominators, and the product of the row multipliers."""
-    out = []
-    scale = 1
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-        scale *= den
-    return out, scale
+# The prime of the empty-kernel certificate in nullspace over Q.
+CERTIFICATE_PRIME = 2**31 - 1
 
 
-def _echelon(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Tuple[List[List[int]], List[int], Scalar]:
-    """Row echelon form of a nonempty matrix of scalars of ring.
-
-    Returns the echelon rows (integers over Q, residues in [0, p) over F_p),
-    the pivot columns, and the determinant, which is zero unless the matrix
-    is square of full rank.  Over Q the elimination is Bareiss: every update
-    divides exactly by the previous pivot, and the last pivot is the
-    determinant of the cleared rows up to the row-swap sign.
-    """
+def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
+    """The rows, dense or {column: scalar} dicts, as {column: entry} dicts
+    without zero entries: int residues over F_p, Fractions over Q.  Raises
+    RingMismatchError on an entry that is not a scalar of ring."""
     if ring.formal:
         raise RingMismatchError("linear algebra needs a field, not a polynomial ring")
     p = ring.char
-    if p == 0:
-        a, scale = _int_rows(rows)
-    else:
-        a = [[x.v for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    pivots: List[int] = []
+    out = []
+    for row in rows:
+        d: SparseRow = {}
+        for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+            if p:
+                if not isinstance(x, Fp) or x.p != p:
+                    raise RingMismatchError(f"{x!r} is not an element of F_{p}")
+                if x.v:
+                    d[j] = x.v
+            elif isinstance(x, Fraction):
+                if x:
+                    d[j] = x
+            elif isinstance(x, int):
+                if x:
+                    d[j] = Fraction(x)
+            else:
+                raise RingMismatchError(f"{x!r} is not a rational number")
+        out.append(d)
+    return out
+
+
+def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Dict[int, SparseRow], List[Tuple[int, int, Entry]]]:
+    """Row echelon form of sparse rows over F_p (p > 0, int residues) or
+    Q (p = 0, Fractions); the rows are consumed.
+
+    Returns the pivot rows keyed by pivot column, each without its pivot
+    entry, which is 1, and per pivot the input row index it came from, its
+    column and its lead before scaling, in the order the rows were taken.
+    """
+    pivots: Dict[int, SparseRow] = {}
+    leads = []
+    for i in sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]), reverse=True):
+        row = rows[i]
+        # The row's columns, smallest first; a column that cancelled stays
+        # in the heap and is skipped when it comes up.
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(f, -1, p) if p else 1 / f
+                pivots[c] = {j: y * inv % p for j, y in row.items()} if p else {j: y * inv for j, y in row.items()}
+                leads.append((i, c, f))
+                break
+            for j, y in tail.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y % p if p else -f * y
+                    heappush(heap, j)
+                else:
+                    v = (x - f * y) % p if p else x - f * y
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+    return pivots, leads
+
+
+def _certified_empty_kernel(rows: List[SparseRow], ncols: int) -> bool:
+    """True when the rational rows have full column rank mod
+    CERTIFICATE_PRIME, which proves their kernel over Q is empty.  False
+    proves nothing; it is also the answer when the prime divides a
+    denominator, since the rows then have no image mod it."""
+    P = CERTIFICATE_PRIME
+    if len(rows) < ncols:
+        return False
+    inverses: Dict[int, int] = {}
+    reduced = []
+    for row in rows:
+        d = {}
+        for j, x in row.items():
+            q = x.denominator
+            inv = inverses.get(q)
+            if inv is None:
+                if q % P == 0:
+                    return False
+                inv = inverses[q] = pow(q, -1, P)
+            v = x.numerator * inv % P
+            if v:
+                d[j] = v
+        reduced.append(d)
+    return len(_sparse_echelon(reduced, P)[0]) == ncols
+
+
+def _bareiss(rows: List[SparseRow], ncols: int) -> Tuple[int, Fraction]:
+    """Rank and determinant of rational rows by dense fraction-free
+    elimination.
+
+    Rows are cleared to integers and every update divides exactly by the
+    previous pivot, which keeps intermediate entries polynomial-sized
+    instead of letting gcd work dominate.  The last pivot, the row-swap sign
+    and the clearing multipliers give the determinant, which is zero unless
+    the matrix is square of full rank.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        den = 1
+        for x in row.values():
+            den = den * x.denominator // gcd(den, x.denominator)
+        a.append([int(row[j] * den) if j in row else 0 for j in range(ncols)])
+        scale *= den
+    m = len(a)
     r = 0
     sign = 1
-    prod = 1  # Bareiss: the last pivot; F_p: the product of the pivots
-    for col in range(n):
+    prev = 1
+    for col in range(ncols):
         pr = next((i for i in range(r, m) if a[i][col] != 0), None)
         if pr is None:
             continue
@@ -66,76 +165,70 @@ def _echelon(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Tuple[List[List[in
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
         piv = a[r][col]
-        if p == 0:
-            # Every row below the pivot is updated at every step: the exact
-            # division by the previous pivot is only valid on rows that were
-            # rescaled in the preceding step, including rows with a zero lead.
-            for i in range(r + 1, m):
-                lead = a[i][col]
-                for j in range(col, n):
-                    a[i][j] = (piv * a[i][j] - lead * a[r][j]) // prod
-            prod = piv
-        else:
-            prod = prod * piv % p
-            inv = pow(piv, -1, p)
-            a[r] = [(x * inv) % p for x in a[r]]
-            for i in range(r + 1, m):
-                f = a[i][col]
-                if f:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(col)
+        # Every row below the pivot is updated at every step: the exact
+        # division by the previous pivot is only valid on rows that were
+        # rescaled in the preceding step, including rows with a zero lead.
+        for i in range(r + 1, m):
+            lead = a[i][col]
+            for j in range(col, ncols):
+                a[i][j] = (piv * a[i][j] - lead * a[r][j]) // prev
+        prev = piv
         r += 1
         if r == m:
             break
-    if r < n or r < m:
-        d = ring.zero()
-    elif p == 0:
-        d = Fraction(sign * prod, scale)
-    else:
-        d = Fp(sign * prod, p)
-    return a[:r], pivots, d
+    if r < ncols or r < m:
+        return r, Fraction(0)
+    return r, Fraction(sign * prev, scale)
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ring: Ring) -> int:
     """Rank of a matrix given as a list of rows of ring scalars."""
     if not rows or not rows[0]:
         return 0
-    return len(_echelon(rows, ring)[1])
+    a = _sparse_rows(rows, ring)
+    if ring.char:
+        return len(_sparse_echelon(a, ring.char)[0])
+    return _bareiss(a, len(rows[0]))[0]
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
+def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
     """Basis of the right null space {x : A x = 0}.
 
-    One basis vector per free column, each with a 1 in its free coordinate,
-    produced by back substitution from the echelon form.  Column order of the
-    free coordinates follows the input, so results are deterministic.
+    Rows are dense rows of ring scalars, or {column: scalar} dicts when
+    ncols is given.
+
+    One basis vector per free column, in increasing column order, each with
+    a 1 in its free coordinate and 0 in the other free coordinates, read off
+    the sparse echelon by back substitution.  Over Q the mod-P certificate
+    is tried first and answers [] when it proves the kernel empty.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return [[ring.one() if i == j else ring.zero() for i in range(ncols)] for j in range(ncols)]
-    ech, pivots, _ = _echelon(rows, ring)
-    if ring.char == 0:
-        ech = [[Fraction(x) for x in row] for row in ech]
-    else:
-        p = ring.char
-        ech = [[Fp(x, p) for x in row] for row in ech]
-    free = [j for j in range(ncols) if j not in pivots]
-    zero, one = ring.zero(), ring.one()
+    a = _sparse_rows(rows, ring)
+    p = ring.char
+    if not p and _certified_empty_kernel(a, ncols):
+        return []
+    pivots = _sparse_echelon(a, p)[0]
+    descending = sorted(pivots, reverse=True)
+    zero = ring.zero()
     out = []
-    for f in free:
-        x = [zero] * ncols
-        x[f] = one
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            if pc > f:
-                continue
-            s = zero
-            for j in range(pc + 1, ncols):
-                if x[j]:
-                    s = s + ech[i][j] * x[j]
-            x[pc] = -s / ech[i][pc]
-        out.append(x)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x: SparseRow = {f: 1}
+        for c in descending:
+            if c < f:
+                s = sum(y * x[j] for j, y in pivots[c].items() if j in x)
+                if p:
+                    s %= p
+                if s:
+                    x[c] = (-s) % p if p else -s
+        vec = [zero] * ncols
+        for j, v in x.items():
+            vec[j] = Fp(v, p) if p else Fraction(v)
+        out.append(vec)
     return out
 
 
@@ -143,26 +236,45 @@ def joint_kernel(basis: Sequence, maps: Sequence[Sequence[Terms]], ring: Ring) -
     """Basis of the common kernel of linear maps on the span of basis.
 
     maps holds, for each map, the term dicts of the images of the basis
-    vectors in basis order.  Each map contributes one row per target key
-    that occurs in its images; each null vector comes back as a term dict
-    on basis with its zero coordinates dropped.
+    vectors in basis order.  Each map contributes one sparse row
+    {basis index: coefficient} per target key that occurs in its images;
+    each null vector comes back as a term dict on basis with its zero
+    coordinates dropped.
     """
-    zero = ring.zero()
-    rows = []
+    rows: List[Dict[int, Scalar]] = []
     for images in maps:
-        for q in sorted({q for img in images for q in img}, reverse=True):
-            rows.append([img.get(q, zero) for img in images])
+        by_key: Dict[Hashable, Dict[int, Scalar]] = {}
+        for j, img in enumerate(images):
+            for q, x in img.items():
+                by_key.setdefault(q, {})[j] = x
+        rows.extend(by_key.values())
     return [{k: cv for k, cv in zip(basis, x) if cv} for x in nullspace(rows, ring, ncols=len(basis))]
 
 
 def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
-    """Determinant of a square matrix, exact in the given field."""
+    """Determinant of a square matrix, exact in the given field.
+
+    Over F_p it is the product of the sparse echelon's leads, signed by the
+    permutation that takes each input row to its pivot column: a row is only
+    ever changed by adding multiples of rows taken before it.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return ring.one()
-    return _echelon(rows, ring)[2]
+    a = _sparse_rows(rows, ring)
+    p = ring.char
+    if not p:
+        return _bareiss(a, n)[1]
+    leads = _sparse_echelon(a, p)[1]
+    if len(leads) < n:
+        return ring.zero()
+    cols = [c for _, c, _ in sorted(leads)]
+    d = -1 if sum(x > y for k, x in enumerate(cols) for y in cols[k + 1:]) % 2 else 1
+    for _, _, lead in leads:
+        d = d * lead % p
+    return Fp(d, p)
 
 
 class SpanBuilder:

@@ -1,16 +1,31 @@
 """Exact linear algebra over Q and F_p: rank, nullspace, determinant,
-incremental span tracking.  The rational path uses fraction-free elimination,
-so it is cross-checked here against a plain field-division oracle."""
+incremental span tracking.  Rank over Q uses fraction-free elimination, so it
+is cross-checked here against a plain field-division oracle; the sparse
+echelon and the mod-P certificate are cross-checked against the dense
+elimination they replaced, kept here as an oracle."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fp_elements, fractions
-from virfock.linalg import SpanBuilder, det, joint_kernel, nullspace, rank
-from virfock.scalars import GF, QQ
-from virfock.verma import verma_module
+from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis
+from virfock.linalg import (
+    CERTIFICATE_PRIME,
+    SpanBuilder,
+    _certified_empty_kernel,
+    _sparse_rows,
+    det,
+    joint_kernel,
+    nullspace,
+    rank,
+)
+from virfock.scalars import GF, QQ, Fp, RingMismatchError
+from virfock.singular import singular_space
+from virfock.verma import VermaVector, partitions, verma_module
 
 
 def oracle_rank(rows, ring):
@@ -179,6 +194,194 @@ def test_determinant_sign_of_a_forced_row_swap():
         assert det([[zero, two, zero], [zero, zero, one], [one, zero, zero]], ring) == two
 
 
+# ------------------------------------------------------ dense oracle
+
+def _int_rows(rows):
+    """Rows cleared of denominators, and the product of the row multipliers."""
+    out = []
+    scale = 1
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        out.append([int(x * den) for x in row])
+        scale *= den
+    return out, scale
+
+
+def dense_echelon(rows, ring):
+    """The dense elimination the sparse echelon replaced: Bareiss over Q,
+    plain modular elimination on every row below the pivot over F_p.
+    Returns the echelon rows, the pivot columns and the determinant."""
+    p = ring.char
+    if p == 0:
+        a, scale = _int_rows(rows)
+    else:
+        a = [[x.v for x in row] for row in rows]
+    m, n = len(a), len(a[0])
+    pivots = []
+    r = 0
+    sign = 1
+    prod = 1
+    for col in range(n):
+        pr = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        piv = a[r][col]
+        if p == 0:
+            for i in range(r + 1, m):
+                lead = a[i][col]
+                for j in range(col, n):
+                    a[i][j] = (piv * a[i][j] - lead * a[r][j]) // prod
+            prod = piv
+        else:
+            prod = prod * piv % p
+            inv = pow(piv, -1, p)
+            a[r] = [(x * inv) % p for x in a[r]]
+            for i in range(r + 1, m):
+                f = a[i][col]
+                if f:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    if r < n or r < m:
+        d = ring.zero()
+    elif p == 0:
+        d = Fraction(sign * prod, scale)
+    else:
+        d = Fp(sign * prod, p)
+    return a[:r], pivots, d
+
+
+def dense_rank(rows, ring):
+    return len(dense_echelon(rows, ring)[1]) if rows and rows[0] else 0
+
+
+def dense_det(rows, ring):
+    return dense_echelon(rows, ring)[2] if rows else ring.one()
+
+
+def dense_nullspace(rows, ring, ncols=None):
+    """Back substitution in ring scalars from the dense echelon form."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if not rows or ncols == 0:
+        return [[ring.one() if i == j else ring.zero() for i in range(ncols)] for j in range(ncols)]
+    ech, pivots, _ = dense_echelon(rows, ring)
+    if ring.char == 0:
+        ech = [[Fraction(x) for x in row] for row in ech]
+    else:
+        ech = [[Fp(x, ring.char) for x in row] for row in ech]
+    zero, one = ring.zero(), ring.one()
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        x = [zero] * ncols
+        x[f] = one
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            if pc > f:
+                continue
+            s = zero
+            for j in range(pc + 1, ncols):
+                if x[j]:
+                    s = s + ech[i][j] * x[j]
+            x[pc] = -s / ech[i][pc]
+        out.append(x)
+    return out
+
+
+def typed(value):
+    """A value with the type of every scalar in it, so equal results of
+    different scalar types compare unequal."""
+    if isinstance(value, list):
+        return [typed(x) for x in value]
+    return (type(value), value)
+
+
+@st.composite
+def sparse_matrix_case(draw):
+    """A ring and a sparse matrix over it, wide or tall, with whole zero
+    columns and rows that repeat earlier rows; over Q some entries are
+    plain ints."""
+    ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
+    if ring.char == 0:
+        entries = st.one_of(fractions(max_num=5, max_den=4), st.integers(-3, 3))
+    else:
+        entries = fp_elements(ring.char)
+    zero = ring.zero() if ring.char else draw(st.sampled_from([0, ring.zero()]))
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    live = [draw(st.integers(0, 3)) > 0 for _ in range(ncols)]
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([draw(entries) if on and draw(st.integers(0, 2)) == 0 else zero for on in live])
+    return ring, rows
+
+
+@settings(max_examples=200)
+@given(sparse_matrix_case())
+def test_sparse_elimination_matches_dense_oracle(case):
+    ring, rows = case
+    assert typed(nullspace(rows, ring)) == typed(dense_nullspace(rows, ring))
+    assert rank(rows, ring) == dense_rank(rows, ring)
+    n = min(len(rows), len(rows[0]))
+    square = [row[:n] for row in rows[:n]]
+    assert typed(det(square, ring)) == typed(dense_det(square, ring))
+
+
+P = CERTIFICATE_PRIME
+
+
+def _q_rows(ints):
+    return [[Fraction(x) for x in row] for row in ints]
+
+
+@pytest.mark.parametrize(
+    "rows, certified, kernel_dim",
+    [
+        # full column rank mod P: the certificate answers
+        (_q_rows([[1, 2], [3, 4], [5, 6]]), True, 0),
+        # multiples of P: rank drops mod P but not over Q
+        (_q_rows([[P, 0], [0, 1], [0, 0]]), False, 0),
+        (_q_rows([[1, 1], [1, 1 + P]]), False, 0),
+        # a denominator divisible by P: no image mod P, so no certificate
+        ([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], False, 0),
+        ([[Fraction(1, 2 * P), Fraction(1), Fraction(0)], [Fraction(1, P), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], False, 1),
+        # a nonzero kernel over Q
+        (_q_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 1, 1]]), False, 1),
+    ],
+    ids=["full-rank-mod-P", "column-of-P", "det-P", "den-P", "den-2P-kernel", "kernel"],
+)
+def test_certificate_exits_agree_with_the_exact_kernel(rows, certified, kernel_dim):
+    assert _certified_empty_kernel(_sparse_rows(rows, QQ), len(rows[0])) is certified
+    basis = nullspace(rows, QQ)
+    assert len(basis) == kernel_dim
+    assert typed(basis) == typed(dense_nullspace(rows, QQ))
+
+
+@pytest.mark.parametrize(
+    "rows, ring",
+    [
+        ([[Fp(3, 5)]], GF(7)),
+        ([[Fraction(1, 2)]], GF(7)),
+        ([[Fp(1, 7), Fp(2, 7)], [Fp(0, 7), 1]], GF(7)),
+        ([[Fp(1, 7)]], QQ),
+    ],
+    ids=["Fp-of-another-prime", "Fraction-over-Fp", "int-over-Fp", "Fp-over-Q"],
+)
+@pytest.mark.parametrize("solve", [rank, nullspace, det], ids=["rank", "nullspace", "det"])
+def test_scalars_of_another_ring_are_rejected(rows, ring, solve):
+    with pytest.raises(RingMismatchError):
+        solve(rows, ring)
+
+
 # ---------------------------------------------------------- joint_kernel
 
 def dense_joint_kernel(basis, maps, targets, ring):
@@ -186,7 +389,7 @@ def dense_joint_kernel(basis, maps, targets, ring):
     the coordinate construction joint_kernel replaced."""
     zero = ring.zero()
     rows = [[img.get(q, zero) for img in images] for target, images in zip(targets, maps) for q in target]
-    return [{k: cv for k, cv in zip(basis, x) if cv} for x in nullspace(rows, ring, ncols=len(basis))]
+    return [{k: cv for k, cv in zip(basis, x) if cv} for x in dense_nullspace(rows, ring, ncols=len(basis))]
 
 
 @st.composite
@@ -214,6 +417,52 @@ def kernel_case(draw):
 def test_joint_kernel_matches_dense_stacking(case):
     ring, basis, maps, targets = case
     assert joint_kernel(basis, maps, ring) == dense_joint_kernel(basis, maps, targets, ring)
+
+
+@pytest.mark.parametrize(
+    "h, ring, degree",
+    [
+        (Fraction(1, 2), QQ, 7),
+        (Fraction(0), QQ, 6),
+        (Fraction(1, 16), QQ, 9),
+        (Fraction(0), GF(7), 7),
+        (Fraction(1, 16), GF(7), 10),
+        (Fraction(0), GF(11), 12),
+        (Fraction(1, 16), GF(11), 10),
+    ],
+    ids=["Q-h1_2-7", "Q-h0-6", "Q-h1_16-9", "F7-h0-7", "F7-h1_16-10", "F11-h0-12", "F11-h1_16-10"],
+)
+def test_singular_space_matches_dense_stacking(h, ring, degree):
+    mod = verma_module(Fraction(1, 2), ring.coerce(h), ring)
+    basis = partitions(degree)
+    maps = [[mod.apply_mode(m, mod.monomial(p)).terms for p in basis] for m in (1, 2)]
+    targets = [partitions(degree - m) for m in (1, 2)]
+    want = tuple(VermaVector(t).normalized() for t in dense_joint_kernel(basis, maps, targets, ring))
+    assert singular_space(mod, degree).vectors == want
+
+
+@pytest.mark.parametrize(
+    "sector, parity, degree, ring",
+    [
+        (NS, 0, 4, GF(7)),
+        (NS, 1, 10, GF(7)),
+        (RAMOND, 0, 3, GF(7)),
+        (RAMOND, 1, 10, GF(7)),
+        (NS, 0, 8, QQ),
+        (RAMOND, 1, 6, QQ),
+        (NS, 1, 8, GF(11)),
+        (RAMOND, 0, 8, GF(11)),
+    ],
+    ids=["F7-NS0-4", "F7-NS1-10", "F7-R0-3", "F7-R1-10", "Q-NS0-8", "Q-R1-6", "F11-NS1-8", "F11-R0-8"],
+)
+def test_fock_hw_vectors_match_dense_stacking(sector, parity, degree, ring):
+    weight = Fraction(2 * degree + parity, 2) if sector == NS else Fraction(degree)
+    basis = sector_basis(sector, parity, degree)
+    one = ring.one()
+    maps = [[apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms for t in basis] for m in (1, 2)]
+    targets = [sector_basis(sector, parity, degree - m) if degree >= m else [] for m in (1, 2)]
+    want = [FockVector(sector, ring, t).normalized() for t in dense_joint_kernel(basis, maps, targets, ring)]
+    assert fock_hw_vectors(sector, parity, weight, ring) == want
 
 
 # ---------------------------------------------------------- SpanBuilder
