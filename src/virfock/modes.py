@@ -60,11 +60,6 @@ def state_degree(state: StateWord) -> int:
     return degs.pop()
 
 
-def state_add(acc: StateWord, other: StateWord, factor: Scalar) -> StateWord:
-    """acc + factor * other, pruning zero terms; acc is consumed."""
-    return merge(acc, other, factor)
-
-
 def build_state(word: Sequence[int], ring: Ring = None) -> StateWord:
     """Normal form of L(word[0])...L(word[-1]) applied to the vacuum.
 
@@ -104,7 +99,7 @@ def named_state(name: str, ring: Ring = None) -> StateWord:
         ring = Ring(0)
     out: StateWord = {}
     for coeff, word in named_state_pbw(name):
-        out = state_add(out, build_state(word, ring), ring.of_int(coeff))
+        merge(out, build_state(word, ring), ring.of_int(coeff))
     return out
 
 

@@ -7,7 +7,11 @@ upstream never branches on the coefficient ring:
   positive denominator, arbitrary-precision integers),
 * elements of a prime field F_p for an odd prime p (``Fp``),
 * dense univariate polynomials in the formal highest weight h over either
-  base field (``Poly``, no trailing zero coefficients).
+  base field (``Poly``, no trailing zero coefficients).  A ``Poly`` holds
+  plain ints: over Q integer numerators over one positive common
+  denominator, over F_p residues in [0, p).  Its arithmetic is int
+  convolution and gcd normalization; ``Poly.coeffs`` is a derived view that
+  builds the Fraction or Fp coefficients when they are read.
 
 A ``Ring`` value describes which carrier is in play.  Characteristic 2 is
 rejected everywhere because 2 must stay invertible for the central term
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
 
 class CharacteristicTwoError(ValueError):
@@ -130,48 +135,67 @@ class Fp:
 class Poly:
     """Dense univariate polynomial in the formal weight h over a base field.
 
-    ``coeffs`` is a tuple (c0, c1, ...) with no trailing zeros; the zero
-    polynomial has an empty tuple.  ``char`` is 0 for rational coefficients
-    or the odd prime p of the base field.
+    The value is stored as plain ints: ``num`` is a tuple (n0, n1, ...) with
+    no trailing zeros, and the polynomial is sum_i (n_i / den) h^i.  Over Q
+    (``char`` 0) the n_i are integer numerators over one positive common
+    denominator ``den`` that shares no factor with all of them.  Over F_p
+    (``char`` the odd prime p) the n_i are residues in [0, p) and ``den`` is
+    1.  The zero polynomial is ``num == ()``, ``den == 1``.  This form is
+    canonical, so equality and hashing compare it directly, and arithmetic
+    builds no Fraction or Fp objects.
+
+    ``coeffs`` is a derived view: the tuple (c0, c1, ...) of Fraction or Fp
+    coefficients, built on each access for evaluation, rendering and tests.
+    The constructor takes such coefficients (or ints) and checks each one
+    against the base field.
     """
 
-    __slots__ = ("char", "coeffs")
+    __slots__ = ("char", "num", "den")
 
     def __init__(self, coeffs, char: int = 0):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.char = char
-        self.coeffs = tuple(cs)
+        parts = [_base_parts(cv, char) for cv in coeffs]
+        den = lcm(*(d for _, d in parts))
+        f = _reduced(char, [n * (den // d) for n, d in parts], den)
+        self.char, self.num, self.den = char, f.num, f.den
+
+    @property
+    def coeffs(self) -> tuple:
+        if self.char:
+            return tuple(Fp(v, self.char) for v in self.num)
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.char != self.char:
                 raise RingMismatchError("mixed base fields in polynomial arithmetic")
             return other
-        if isinstance(other, int) or isinstance(other, Fraction) or isinstance(other, Fp):
-            return Poly((_base_coerce(other, self.char),), self.char)
+        if isinstance(other, (int, Fraction, Fp)):
+            return Poly((other,), self.char)
         return NotImplemented
 
     def degree(self) -> int:
         """Degree in h, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        zero = _base_zero(self.char)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        for i, cv in enumerate(o.coeffs):
-            a[i] = a[i] + cv
-        return Poly(a, self.char)
+        a, b, den = self.num, o.num, self.den
+        if den != o.den:
+            g = gcd(den, o.den)
+            fa, fb = o.den // g, den // g
+            a, b, den = [x * fa for x in a], [y * fb for y in b], den * fa
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _reduced(self.char, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-cv for cv in self.coeffs), self.char)
+        return _reduced(self.char, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -189,23 +213,20 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly((), self.char)
-        zero = _base_zero(self.char)
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.char)
+        a, b = self.num, o.num
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _reduced(self.char, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Poly((_base_zero(self.char) + 1,), self.char)
+        out = Poly((1,), self.char)
         for _ in range(n):
             out = out * self
         return out
@@ -216,22 +237,29 @@ class Poly:
             return NotImplemented
         if o.degree() > 0:
             raise ArithmeticError("polynomial division only by constants")
-        if not o.coeffs:
+        if not o.num:
             raise ZeroDivisionError("division by zero polynomial")
-        inv = o.coeffs[0]
-        return Poly(tuple(cv / inv for cv in self.coeffs), self.char)
+        p, c = self.char, o.num[0]
+        if p:
+            inv = pow(c, -1, p)
+            return _reduced(p, [x * inv for x in self.num], 1)
+        # (num / den) / (c / d) = (d num) / (c den); the sign of c goes on top.
+        d = o.den
+        if c < 0:
+            c, d = -c, -d
+        return _reduced(0, [x * d for x in self.num], self.den * c)
 
     def __eq__(self, other):
         # Only Poly values compare, for the same reason as Fp.__eq__.
         if isinstance(other, Poly):
-            return self.char == other.char and self.coeffs == other.coeffs
+            return self.char == other.char and self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.char, self.coeffs))
+        return hash(("Poly", self.char, self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def eval(self, x):
         """Evaluate at x by Horner's rule; x must live in the base field."""
@@ -244,6 +272,27 @@ class Poly:
         return f"Poly({self.coeffs!r}, char={self.char})"
 
 
+def _reduced(char: int, num: list, den: int) -> Poly:
+    """The canonical Poly with coefficients num[i] / den (num[i] mod p over
+    F_p, where den is 1): trailing zeros dropped and, over Q, the factor
+    that den shares with every numerator divided out.  Builds the Poly
+    directly, without the constructor's checks."""
+    if char:
+        num = [x % char for x in num]
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    f = object.__new__(Poly)
+    f.char, f.num, f.den = char, tuple(num), den
+    return f
+
+
 Scalar = Union[Fraction, Fp, Poly]
 
 
@@ -251,22 +300,39 @@ def _base_zero(char: int):
     return Fraction(0) if char == 0 else Fp(0, char)
 
 
-def _base_coerce(x, char: int):
-    if isinstance(x, Poly):
-        raise RingMismatchError("polynomial where a base scalar was expected")
-    if char == 0:
-        if isinstance(x, Fp):
-            raise RingMismatchError("prime-field scalar in a rational ring")
-        return Fraction(x)
+def _base_parts(x, char: int) -> Tuple[int, int]:
+    """A base scalar as ints: over Q its numerator and positive denominator
+    in lowest terms, over F_p its residue in [0, p) and 1.
+
+    Only ints, Fractions and Fp values of the same prime are base scalars:
+    anything else (an Fp over Q or mod another prime, a Poly, a float, a
+    string) raises RingMismatchError.  A rational whose denominator p divides
+    raises DenominatorDivisibleByP.
+    """
+    if isinstance(x, int):
+        return (x % char if char else x), 1
+    if isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+        if not char:
+            return n, d
+        if d % char == 0:
+            raise DenominatorDivisibleByP(f"{x} has no image mod {char}")
+        return n * pow(d, -1, char) % char, 1
     if isinstance(x, Fp):
+        if not char:
+            raise RingMismatchError("prime-field scalar in a rational ring")
         if x.p != char:
             raise RingMismatchError(f"scalar mod {x.p} in a ring mod {char}")
-        return x
-    if isinstance(x, int):
-        return Fp(x, char)
-    if isinstance(x, Fraction):
-        return reduce_mod_p(x, char)
+        return x.v, 1
     raise RingMismatchError(f"cannot coerce {x!r} into characteristic {char}")
+
+
+def _base_coerce(x, char: int):
+    """x as a base-field element: a Fraction over Q, an Fp over F_p."""
+    n, d = _base_parts(x, char)
+    if char:
+        return Fp(n, char)
+    return Fraction(n) if d == 1 else Fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -300,12 +366,12 @@ class Ring:
 
     def of_int(self, n: int) -> Scalar:
         if self.formal:
-            return Poly((_base_coerce(n, self.char),), self.char)
+            return Poly((n,), self.char)
         return _base_coerce(n, self.char)
 
     def of_fraction(self, q: Fraction) -> Scalar:
         if self.formal:
-            return Poly((_base_coerce(q, self.char),), self.char)
+            return Poly((q,), self.char)
         return _base_coerce(q, self.char)
 
     def coerce(self, x) -> Scalar:
@@ -315,14 +381,14 @@ class Ring:
                 if x.char != self.char:
                     raise RingMismatchError("polynomial over the wrong base field")
                 return x
-            return Poly((_base_coerce(x, self.char),), self.char)
+            return Poly((x,), self.char)
         return _base_coerce(x, self.char)
 
     def h(self) -> Scalar:
         """The formal weight generator; only available in formal rings."""
         if not self.formal:
             raise ValueError("h is only defined in a formal-weight ring")
-        return Poly((_base_zero(self.char), _base_coerce(1, self.char)), self.char)
+        return Poly((0, 1), self.char)
 
     def parse(self, s: str) -> Scalar:
         """Parse 'num', 'num/den', 'k mod p', or (formal rings only) 'h'."""
@@ -352,11 +418,7 @@ def reduce_mod_p(q: Union[int, Fraction], p: int) -> Fp:
         if p == 2:
             raise CharacteristicTwoError("characteristic 2 is unsupported, 2 must be invertible")
         raise ValueError(f"modulus must be an odd prime, got {p}")
-    if isinstance(q, int):
-        return Fp(q, p)
-    if q.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"{q} has no image mod {p}")
-    return Fp(q.numerator * pow(q.denominator % p, -1, p), p)
+    return _base_coerce(q, p)
 
 
 def central_coeff(m: int, ring: Ring) -> Scalar:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from virfock.lincomb import merge
 from virfock.scalars import GF, QQ, Poly, formal_ring
 from virfock.verma import VermaVector, verma_module
 from virfock.modes import (
@@ -23,7 +24,6 @@ from virfock.modes import (
     named_state,
     named_state_pbw,
     named_state_verma,
-    state_add,
     state_degree,
     term_degree,
     verify_annihilation,
@@ -110,7 +110,7 @@ def test_named_state_verma_matches_pbw_monomials():
 
 def test_state_add_cancels_to_zero():
     x = build_state([-2, -2])
-    assert state_add(dict(x), build_state([-2, -2]), Fraction(-1)) == {}
+    assert merge(dict(x), build_state([-2, -2]), Fraction(-1)) == {}
     with pytest.raises(ValueError, match="zero or mixes"):
         state_degree({})
 

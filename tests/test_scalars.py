@@ -1,10 +1,15 @@
 """Exact coefficient arithmetic: rationals, odd prime fields, formal-weight
-polynomials, and the reduction maps between them."""
+polynomials, and the reduction maps between them.
+
+The int-backed Poly is checked against _RefPoly, a polynomial stored as a
+tuple of Fraction or Fp coefficients and combined by the base-field
+operators."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import ODD_PRIMES, fp_elements, fractions
 from virfock.scalars import (
@@ -14,6 +19,7 @@ from virfock.scalars import (
     DenominatorDivisibleByP,
     Fp,
     Poly,
+    Ring,
     RingMismatchError,
     central_coeff,
     formal_ring,
@@ -228,3 +234,222 @@ def test_parse_accepts_all_string_forms():
     assert QQ.parse("-108") == Fraction(-108)
     assert GF(7).parse("6 mod 7") == GF(7).of_int(6)
     assert formal_ring(0).parse("h") == formal_ring(0).h()
+
+
+# ------------------------------------------- Poly against the reference
+
+class _RefPoly:
+    """Dense polynomial in h as a tuple of Fraction (char 0) or Fp
+    coefficients with no trailing zeros: the reference for Poly."""
+
+    def __init__(self, coeffs, char=0):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.char = char
+        self.coeffs = tuple(cs)
+
+    def _zero(self):
+        return Ring(self.char).zero()
+
+    def _lift(self, other):
+        if isinstance(other, _RefPoly):
+            if other.char != self.char:
+                raise RingMismatchError("mixed base fields in polynomial arithmetic")
+            return other
+        if isinstance(other, (int, Fraction, Fp)):
+            return _RefPoly((Ring(self.char).coerce(other),), self.char)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._lift(other)
+        n = max(len(self.coeffs), len(o.coeffs))
+        a = list(self.coeffs) + [self._zero()] * (n - len(self.coeffs))
+        for i, cv in enumerate(o.coeffs):
+            a[i] = a[i] + cv
+        return _RefPoly(a, self.char)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefPoly(tuple(-cv for cv in self.coeffs), self.char)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if not self.coeffs or not o.coeffs:
+            return _RefPoly((), self.char)
+        out = [self._zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return _RefPoly(out, self.char)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = _RefPoly((Ring(self.char).one(),), self.char)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        assert len(o.coeffs) == 1, "division by a nonzero constant only"
+        return _RefPoly(tuple(cv / o.coeffs[0] for cv in self.coeffs), self.char)
+
+    def eval(self, x):
+        acc = self._zero()
+        for cv in reversed(self.coeffs):
+            acc = acc * x + cv
+        return acc
+
+    def to_str(self):
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            cv = self.coeffs[i]
+            if not cv:
+                continue
+            cs = str(cv.v) if isinstance(cv, Fp) else str(cv)
+            parts.append(cs if i == 0 else f"{cs}*h" if i == 1 else f"{cs}*h^{i}")
+        return " + ".join(parts) or "0"
+
+    def to_json(self):
+        return [f"{cv.v} mod {cv.p}" if isinstance(cv, Fp) else str(cv) for cv in self.coeffs]
+
+
+# Denominators 2^a 3^b, as the c = 1/2 central term (m^3 - m)/12 produces.
+DENOMINATORS = tuple(sorted(2 ** a * 3 ** b for a in range(7) for b in range(3)))
+POLY_CHARS = (0, 3, 7)
+
+
+def base_scalars(char):
+    if char == 0:
+        return st.builds(Fraction, st.integers(-60, 60), st.sampled_from(DENOMINATORS))
+    return st.integers(0, char - 1).map(lambda v: Fp(v, char))
+
+
+def constants(char):
+    """Non-polynomial operands: ints, Fractions and, over F_p, residues."""
+    rationals = st.builds(Fraction, st.integers(-60, 60), st.sampled_from(DENOMINATORS))
+    if char:
+        rationals = rationals.filter(lambda q: q.denominator % char)
+    return st.one_of(st.integers(-30, 30), rationals, base_scalars(char))
+
+
+@st.composite
+def poly_cases(draw):
+    char = draw(st.sampled_from(POLY_CHARS))
+    coeff_lists = st.lists(base_scalars(char), max_size=5)
+    return (char, draw(coeff_lists), draw(coeff_lists), draw(constants(char)),
+            draw(base_scalars(char)), draw(st.integers(0, 3)))
+
+
+def _agrees(got, want):
+    assert type(got) is Poly and type(want) is _RefPoly
+    assert got.char == want.char
+    assert [type(cv) for cv in got.coeffs] == [type(cv) for cv in want.coeffs]
+    assert got.coeffs == want.coeffs
+    assert got.degree() == len(want.coeffs) - 1
+    assert bool(got) == bool(want.coeffs)
+    if got.char:
+        assert got.den == 1 and all(0 <= v < got.char for v in got.num)
+    else:
+        assert got.den > 0 and gcd(got.den, *got.num) == 1
+    assert scalar_to_str(got) == want.to_str()
+    assert scalar_to_json(got) == want.to_json()
+
+
+@settings(max_examples=200)
+@given(case=poly_cases())
+def test_poly_matches_the_coefficient_tuple_reference(case):
+    char, ca, cb, c, x, k = case
+    f, g = Poly(ca, char), Poly(cb, char)
+    rf, rg = _RefPoly(ca, char), _RefPoly(cb, char)
+    for got, want in [
+        (f, rf), (g, rg),
+        (f + g, rf + rg), (f - g, rf - rg), (-f, -rf), (f * g, rf * rg), (f ** k, rf ** k),
+        (f + c, rf + c), (c + f, c + rf), (f - c, rf - c), (c - f, c - rf),
+        (f * c, rf * c), (c * f, c * rf),
+    ]:
+        _agrees(got, want)
+    if Ring(char).coerce(c):
+        _agrees(f / c, rf / c)
+        _agrees(f / Poly((c,), char), rf / c)
+    value, ref_value = f.eval(x), rf.eval(x)
+    assert type(value) is type(ref_value) and value == ref_value
+    assert poly_eval(f, x) == ref_value
+
+
+def test_poly_division_by_negative_and_fractional_constants():
+    h = formal_ring(0).h()
+    f = Fraction(3, 8) * h * h - Fraction(5, 6)
+    ref = _RefPoly((Fraction(-5, 6), Fraction(0), Fraction(3, 8)))
+    for c in (-1, -6, Fraction(-3, 4), Fraction(9, 16), Fraction(-1, 144)):
+        _agrees(f / c, ref / c)
+        _agrees(f / Poly((c,)), ref / c)
+    with pytest.raises(ZeroDivisionError):
+        f / 0
+    with pytest.raises(ArithmeticError):
+        f / h
+
+
+@settings(max_examples=100)
+@given(char=st.sampled_from(POLY_CHARS), data=st.data())
+def test_equal_polys_built_by_different_routes_are_equal(char, data):
+    cs = data.draw(st.lists(base_scalars(char), max_size=5))
+    ring = formal_ring(char)
+    direct = Poly(cs, char)
+    horner = ring.zero()
+    for cv in reversed(cs):
+        horner = horner * ring.h() + cv
+    routes = [
+        Poly(list(cs) + [0, Ring(char).zero()], char),
+        horner,
+        (direct * 4) / 4,
+        direct * Fraction(-5, 8) / Fraction(-5, 8),
+        direct + ring.h() - ring.h(),
+        scalar_from_json(scalar_to_json(direct), ring),
+    ]
+    for other in routes:
+        assert other == direct and hash(other) == hash(direct)
+
+
+def test_poly_constructor_checks_each_coefficient():
+    with pytest.raises(RingMismatchError):
+        Poly((Fp(1, 5),), 7)
+    with pytest.raises(RingMismatchError):
+        Poly((Fp(1, 7),), 0)
+    for not_a_base_scalar in (formal_ring(0).h(), 0.5, "1/2"):
+        with pytest.raises(RingMismatchError):
+            Poly((not_a_base_scalar,), 0)
+        with pytest.raises(RingMismatchError):
+            QQ.coerce(not_a_base_scalar)
+    with pytest.raises(DenominatorDivisibleByP):
+        Poly((Fraction(1, 7),), 7)
+    half = Poly((Fraction(1, 2),), 7)
+    assert half == Poly((Fp(4, 7),), 7) and half.coeffs == (Fp(4, 7),)
+    assert (half + half).coeffs == (Fp(1, 7),)
+    assert Poly((3, Fraction(-1, 2)), 0).coeffs == (Fraction(3), Fraction(-1, 2))
+    f = Poly((3, Fraction(-1, 2)), 0)
+    assert (f.num, f.den) == ((6, -1), 2)
+
+
+def test_poly_arithmetic_builds_no_base_scalars(monkeypatch):
+    q = formal_ring(0).h() * Fraction(1, 6) + Fraction(3, 4)
+    r = formal_ring(7).h() * 3 + 5
+    third, residue = Fraction(-1, 3), Fp(2, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a base scalar was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    monkeypatch.setattr(Fp, "__init__", refuse)
+    for f, c in ((q, third), (r, residue)):
+        g = f * f - f / c + c * f ** 2 - (2 - f) / 3
+        assert g and g != f and hash(g) != hash(f)
