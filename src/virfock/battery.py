@@ -672,6 +672,12 @@ def _fock_monomials_upto(sector: str, max_weight2: int) -> List[FockVector]:
     return out
 
 
+def _sector_modes(sector: str, bound2: int) -> List[Fraction]:
+    """Fermion modes k/2, |k| <= bound2, ascending: odd k for NS, even for R."""
+    odd = 1 if sector == NS else 0
+    return [Fraction(k, 2) for k in range(-bound2, bound2 + 1) if k % 2 == odd]
+
+
 def _check_fock_bracket() -> Tuple[str, str]:
     count = 0
     for sector in (NS, RAMOND):
@@ -692,10 +698,7 @@ def _check_fock_bracket() -> Tuple[str, str]:
 def _check_fock_anticommutation() -> Tuple[str, str]:
     count = 0
     for sector in (NS, RAMOND):
-        if sector == NS:
-            modes = [Fraction(k, 2) for k in range(-9, 10) if k % 2 != 0]
-        else:
-            modes = [Fraction(k, 2) for k in range(-8, 9) if k % 2 == 0]
+        modes = _sector_modes(sector, 9)
         for x in _fock_monomials_upto(sector, 10):
             for m in modes:
                 am = apply_fermion(m, x)
@@ -711,10 +714,7 @@ def _check_fock_anticommutation() -> Tuple[str, str]:
 def _check_fock_mixed_commutator() -> Tuple[str, str]:
     count = 0
     for sector in (NS, RAMOND):
-        if sector == NS:
-            modes = [Fraction(k, 2) for k in range(-9, 10) if k % 2 != 0]
-        else:
-            modes = [Fraction(k, 2) for k in range(-8, 9) if k % 2 == 0]
+        modes = _sector_modes(sector, 9)
         for x in _fock_monomials_upto(sector, 8):
             for p in range(-3, 4):
                 lpx = apply_virasoro_fock(p, x)
@@ -746,7 +746,7 @@ def _check_fock_contravariance() -> Tuple[str, str]:
 def _check_sigma_intertwining() -> Tuple[str, str]:
     count = 0
     evens = [w for w in _fock_monomials_upto(RAMOND, 8) if w.parity() == 0]
-    modes = [Fraction(k, 2) for k in range(-6, 7) if k % 2 == 0]
+    modes = _sector_modes(RAMOND, 6)
     for x in evens:
         for s in modes:
             for t in modes:
@@ -817,10 +817,7 @@ def _check_basechange_fock() -> Tuple[str, str]:
     for p in PRIMES:
         ring = GF(p)
         for sector in (NS, RAMOND):
-            if sector == NS:
-                fmodes = [Fraction(k, 2) for k in range(-5, 6) if k % 2 != 0]
-            else:
-                fmodes = [Fraction(k, 2) for k in range(-4, 5) if k % 2 == 0]
+            fmodes = _sector_modes(sector, 5)
             for x in _fock_monomials_upto(sector, 8):
                 xp = reduce_fock_mod_p(x, p)
                 for n in range(-2, 3):

@@ -29,12 +29,10 @@ from .fock import (
 )
 from .modes import build_state, mode_apply, named_state
 from .scalars import (
-    GF,
     QQ,
     CharacteristicTwoError,
     DenominatorDivisibleByP,
     Ring,
-    formal_ring,
     scalar_to_str,
 )
 from .singular import irreducible_dims, singular_space
@@ -43,15 +41,8 @@ from .verma import VermaModule, verma_module
 FORMATS = ("json", "csv", "pretty")
 
 
-def _ring(char: int, formal: bool = False) -> Ring:
-    if formal:
-        return formal_ring(char)
-    return QQ if char == 0 else GF(char)
-
-
 def _module(cfg: argparse.Namespace) -> VermaModule:
-    formal = cfg.h.strip() == "h"
-    ring = _ring(cfg.char, formal)
+    ring = Ring(cfg.char, cfg.h.strip() == "h")
     return verma_module(ring.parse(cfg.c), ring.parse(cfg.h), ring)
 
 
@@ -101,7 +92,7 @@ def cmd_fock_dims(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
-    ring = _ring(cfg.char)
+    ring = Ring(cfg.char)
     start = sector_hw_vector(cfg.sector, cfg.parity, ring)
     dims = vir_span_dims(start, cfg.max_degree)
     return {
@@ -114,7 +105,7 @@ def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_hwvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
-    ring = _ring(cfg.char)
+    ring = Ring(cfg.char)
     weight = Fraction(cfg.degree)
     if cfg.sector == NS and cfg.parity == 1:
         weight = cfg.degree + Fraction(1, 2)

@@ -1,20 +1,21 @@
 """Exact linear algebra over Q and F_p.
 
-Every entry point first turns its rows into sparse {column: entry} dicts
+Every entry point first turns its rows into sparse {key: entry} dicts
 without zero entries (int residues in [0, p) over F_p, Fractions over Q);
-that one pass over the matrix also rejects scalars of another ring.
+that one pass also rejects scalars of another ring.
 
-Elimination is one sparse row echelon.  Rows are taken in descending order
-of their leading (smallest) column, and each is reduced against the stored
-pivot rows by its smallest column until it is zero or its smallest column
-has no pivot yet, where it is stored scaled to 1.  The pivot columns are the
-RREF pivot columns, which depend only on the row space, so the free columns
-and the kernel basis with unit free coordinates do not depend on the row
-order.  Over F_p rank, nullspace and det all use it.  Over Q, nullspace
-first runs it mod the prime P = 2^31 - 1: rank mod P is at most the rank
-over Q, so full column rank mod P proves the kernel empty.  Otherwise the
-echelon runs on the Fractions themselves.  rank and det over Q stay on
-dense fraction-free Bareiss elimination, which suits the dense Gram
+There is one sparse reduction loop, `_reduce`: a row is reduced against the
+pivot rows by its smallest key until it is zero or its smallest key has no
+pivot row yet; scaled to 1 there, it becomes that key's pivot row.  The
+sparse echelon feeds it matrix rows in descending order of their smallest
+column, SpanBuilder feeds it term dicts one at a time.  The echelon's pivot
+columns are the RREF pivot columns, which depend only on the row space, so
+the free columns and the kernel basis with unit free coordinates do not
+depend on the row order.  Over F_p rank, nullspace and det all use it.
+Over Q, nullspace first runs it mod the prime P = 2^31 - 1: rank mod P is
+at most the rank over Q, so full column rank mod P proves the kernel empty.
+Otherwise the echelon runs on the Fractions themselves.  rank and det over
+Q use dense fraction-free Bareiss elimination, which suits the dense Gram
 matrices they are called on.
 
 SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
@@ -27,45 +28,88 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .lincomb import Terms, merge
+from .lincomb import Terms
 from .scalars import Fp, Ring, RingMismatchError, Scalar
 
 Entry = Union[int, Fraction]  # an int residue mod p, or a rational
-SparseRow = Dict[int, Entry]
+SparseRow = Dict[Hashable, Entry]  # {column or basis key: nonzero entry}
 Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
 
 # The prime of the empty-kernel certificate in nullspace over Q.
 CERTIFICATE_PRIME = 2**31 - 1
 
 
-def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
-    """The rows, dense or {column: scalar} dicts, as {column: entry} dicts
-    without zero entries: int residues over F_p, Fractions over Q.  Raises
-    RingMismatchError on an entry that is not a scalar of ring."""
+def _field_char(ring: Ring) -> int:
+    """ring's characteristic; RingMismatchError unless ring is a field."""
     if ring.formal:
         raise RingMismatchError("linear algebra needs a field, not a polynomial ring")
-    p = ring.char
-    out = []
-    for row in rows:
-        d: SparseRow = {}
-        for j, x in row.items() if isinstance(row, dict) else enumerate(row):
-            if p:
-                if not isinstance(x, Fp) or x.p != p:
-                    raise RingMismatchError(f"{x!r} is not an element of F_{p}")
-                if x.v:
-                    d[j] = x.v
-            elif isinstance(x, Fraction):
-                if x:
-                    d[j] = x
-            elif isinstance(x, int):
-                if x:
-                    d[j] = Fraction(x)
+    return ring.char
+
+
+def _entries(items: Iterable[Tuple[Hashable, Scalar]], p: int) -> SparseRow:
+    """The (key, scalar) pairs as a {key: entry} dict without zero entries:
+    int residues over F_p (p > 0), Fractions over Q (p = 0).  Raises
+    RingMismatchError on a scalar of another ring."""
+    d: SparseRow = {}
+    for j, x in items:
+        if p:
+            if not isinstance(x, Fp) or x.p != p:
+                raise RingMismatchError(f"{x!r} is not an element of F_{p}")
+            if x.v:
+                d[j] = x.v
+        elif isinstance(x, Fraction):
+            if x:
+                d[j] = x
+        elif isinstance(x, int):
+            if x:
+                d[j] = Fraction(x)
+        else:
+            raise RingMismatchError(f"{x!r} is not a rational number")
+    return d
+
+
+def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
+    """Dense rows or {column: scalar} dicts as {column: entry} dicts."""
+    p = _field_char(ring)
+    return [_entries(row.items() if isinstance(row, dict) else enumerate(row), p) for row in rows]
+
+
+def _reduce(row: SparseRow, pivots: Dict[Hashable, SparseRow], p: int) -> Optional[Tuple[Hashable, Entry]]:
+    """Reduce row in place by the pivot rows, smallest key first.  Returns
+    None if it reduces to zero, else the first key c with no pivot row and
+    its entry f; c is then popped and the rest divided by f, which makes the
+    row c's pivot row.  Pivot rows hold only keys above their own, with the
+    pivot entry 1 left out, so eliminating a key only brings in larger ones.
+    """
+    # The row's keys, smallest first; a key that cancelled stays in the heap
+    # and is skipped when it comes up.
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        tail = pivots.get(c)
+        if tail is None:
+            inv = pow(f, -1, p) if p else 1 / f
+            for j in row:
+                row[j] = row[j] * inv % p if p else row[j] * inv
+            return c, f
+        for j, y in tail.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = -f * y % p if p else -f * y
+                heappush(heap, j)
             else:
-                raise RingMismatchError(f"{x!r} is not a rational number")
-        out.append(d)
-    return out
+                v = (x - f * y) % p if p else x - f * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return None
 
 
 def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Dict[int, SparseRow], List[Tuple[int, int, Entry]]]:
@@ -79,33 +123,10 @@ def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Dict[int, SparseRow]
     pivots: Dict[int, SparseRow] = {}
     leads = []
     for i in sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]), reverse=True):
-        row = rows[i]
-        # The row's columns, smallest first; a column that cancelled stays
-        # in the heap and is skipped when it comes up.
-        heap = list(row)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            f = row.pop(c, None)
-            if f is None:
-                continue
-            tail = pivots.get(c)
-            if tail is None:
-                inv = pow(f, -1, p) if p else 1 / f
-                pivots[c] = {j: y * inv % p for j, y in row.items()} if p else {j: y * inv for j, y in row.items()}
-                leads.append((i, c, f))
-                break
-            for j, y in tail.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * y % p if p else -f * y
-                    heappush(heap, j)
-                else:
-                    v = (x - f * y) % p if p else x - f * y
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
+        lead = _reduce(rows[i], pivots, p)
+        if lead is not None:
+            pivots[lead[0]] = rows[i]
+            leads.append((i, *lead))
     return pivots, leads
 
 
@@ -278,44 +299,31 @@ def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
 
 
 class SpanBuilder:
-    """Incrementally maintained row space over a field.
-
-    Rows are term dicts {basis key: nonzero scalar}.  add() reduces the
-    incoming row against the stored rows in insertion order and reports
-    whether it enlarged the span; a new row is stored with its largest key
-    as pivot, scaled to coefficient 1.  contains() is the same reduction
-    without insertion.
+    """Incrementally maintained row space over a field: the sparse echelon
+    fed one term dict {basis key: nonzero scalar} at a time, keys being
+    mutually ordered (ints, or tuples of ints).  Each row is converted and
+    checked against the ring as matrix rows are, then reduced.  add() keeps
+    a nonzero remainder as a new pivot row and reports whether the span
+    grew; contains() reduces a copy and stores nothing.
     """
 
     def __init__(self, ring: Ring):
-        if ring.formal:
-            raise RingMismatchError("SpanBuilder needs a field, not a polynomial ring")
-        self.ring = ring
-        self._rows: List[Tuple[Hashable, Terms]] = []
-
-    def _reduce(self, terms: Terms) -> Terms:
-        row = dict(terms)
-        for pk, pr in self._rows:
-            f = row.get(pk)
-            if f is not None:
-                merge(row, pr, -f)
-        return row
+        self._p = _field_char(ring)
+        self._pivots: Dict[Hashable, SparseRow] = {}
 
     def contains(self, terms: Terms) -> bool:
-        return not self._reduce(terms)
+        return _reduce(_entries(terms.items(), self._p), self._pivots, self._p) is None
 
     def add(self, terms: Terms) -> bool:
-        row = self._reduce(terms)
-        if not row:
-            return False
-        pk = max(row)
-        lead = row[pk]
-        self._rows.append((pk, {k: x / lead for k, x in row.items()}))
-        return True
+        row = _entries(terms.items(), self._p)
+        lead = _reduce(row, self._pivots, self._p)
+        if lead is not None:
+            self._pivots[lead[0]] = row
+        return lead is not None
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
 
 def lowering_closure(seeds: Sequence[tuple], max_degree: int, ring: Ring, lower: Callable) -> List[int]:

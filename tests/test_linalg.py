@@ -1,6 +1,7 @@
 """Exact linear algebra over Q and F_p: rank, nullspace, determinant,
-incremental span tracking.  Rank over Q uses fraction-free elimination, so it
-is cross-checked here against a plain field-division oracle; the sparse
+incremental span tracking.  Rank over Q uses fraction-free elimination, and
+SpanBuilder shares its reduction with rank over F_p, so both are
+cross-checked here against a plain field-division oracle; the sparse
 echelon and the mod-P certificate are cross-checked against the dense
 elimination they replaced, kept here as an oracle."""
 
@@ -23,7 +24,7 @@ from virfock.linalg import (
     nullspace,
     rank,
 )
-from virfock.scalars import GF, QQ, Fp, RingMismatchError
+from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring
 from virfock.singular import singular_space
 from virfock.verma import VermaVector, partitions, verma_module
 
@@ -366,6 +367,18 @@ def test_certificate_exits_agree_with_the_exact_kernel(rows, certified, kernel_d
     assert typed(basis) == typed(dense_nullspace(rows, QQ))
 
 
+def _span_add(rows, ring):
+    sb = SpanBuilder(ring)
+    for row in rows:
+        sb.add(dict(enumerate(row)))
+
+
+def _span_contains(rows, ring):
+    sb = SpanBuilder(ring)
+    for row in rows:
+        sb.contains(dict(enumerate(row)))
+
+
 @pytest.mark.parametrize(
     "rows, ring",
     [
@@ -373,10 +386,15 @@ def test_certificate_exits_agree_with_the_exact_kernel(rows, certified, kernel_d
         ([[Fraction(1, 2)]], GF(7)),
         ([[Fp(1, 7), Fp(2, 7)], [Fp(0, 7), 1]], GF(7)),
         ([[Fp(1, 7)]], QQ),
+        ([[Fraction(1)]], formal_ring(7)),
     ],
-    ids=["Fp-of-another-prime", "Fraction-over-Fp", "int-over-Fp", "Fp-over-Q"],
+    ids=["Fp-of-another-prime", "Fraction-over-Fp", "int-over-Fp", "Fp-over-Q", "formal-ring"],
 )
-@pytest.mark.parametrize("solve", [rank, nullspace, det], ids=["rank", "nullspace", "det"])
+@pytest.mark.parametrize(
+    "solve",
+    [rank, nullspace, det, _span_add, _span_contains],
+    ids=["rank", "nullspace", "det", "span-add", "span-contains"],
+)
 def test_scalars_of_another_ring_are_rejected(rows, ring, solve):
     with pytest.raises(RingMismatchError):
         solve(rows, ring)
@@ -467,9 +485,10 @@ def test_fock_hw_vectors_match_dense_stacking(sector, parity, degree, ring):
 
 # ---------------------------------------------------------- SpanBuilder
 
-def _terms(row, ring):
-    """A coordinate row as the term dict SpanBuilder takes, keyed by column."""
-    return {j: ring.coerce(x) for j, x in enumerate(row) if x}
+def _terms(row, ring, keys=None):
+    """A coordinate row as the term dict SpanBuilder takes, keyed by column
+    or by keys[column]."""
+    return {keys[j] if keys else j: ring.coerce(x) for j, x in enumerate(row) if x}
 
 
 def test_span_builder_tracks_dimension():
@@ -487,17 +506,21 @@ def test_span_builder_dimension_equals_rank(rows):
     sb = SpanBuilder(QQ)
     for row in rows:
         sb.add(_terms(row, QQ))
-    assert sb.dim == rank(rows, QQ)
+    assert sb.dim == oracle_rank(rows, QQ)
 
 
 @st.composite
 def sparse_span_case(draw):
     """A ring, a sparse matrix over it with whole zero columns and rows that
-    are combinations of earlier rows, and probe rows for contains()."""
+    are combinations of earlier rows, probe rows for contains(), and the
+    column keys: ints, or partitions of 9, which are tuples of unequal
+    length in descending order, so pivots by smallest key run from the last
+    column."""
     ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
     entries = fractions(max_num=5, max_den=3) if ring.char == 0 else fp_elements(ring.char)
     zero = ring.zero()
     ncols = draw(st.integers(1, 9))
+    keys = draw(st.sampled_from([None, partitions(9)[:ncols]]))
     live = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
 
     def sparse_row():
@@ -512,16 +535,16 @@ def sparse_span_case(draw):
     for _ in range(draw(st.integers(1, 7))):
         rows.append(combination(rows) if rows and draw(st.booleans()) else sparse_row())
     probes = [combination(rows), sparse_row(), [zero] * ncols, draw(st.sampled_from(rows))]
-    return ring, rows, probes
+    return ring, rows, probes, keys
 
 
 @given(sparse_span_case())
 def test_span_builder_on_sparse_rank_deficient_rows(case):
-    ring, rows, probes = case
+    ring, rows, probes, keys = case
     sb = SpanBuilder(ring)
     for i, row in enumerate(rows):
-        assert sb.add(_terms(row, ring)) == (rank(rows[: i + 1], ring) > rank(rows[:i], ring))
-    assert sb.dim == rank(rows, ring)
+        assert sb.add(_terms(row, ring, keys)) == (oracle_rank(rows[: i + 1], ring) > oracle_rank(rows[:i], ring))
+    assert sb.dim == oracle_rank(rows, ring)
     for r in probes:
-        assert sb.contains(_terms(r, ring)) == (rank(rows + [r], ring) == rank(rows, ring))
-    assert sb.dim == rank(rows, ring)
+        assert sb.contains(_terms(r, ring, keys)) == (oracle_rank(rows + [r], ring) == oracle_rank(rows, ring))
+    assert sb.dim == oracle_rank(rows, ring)
