@@ -43,6 +43,8 @@ FORMATS = ("json", "csv", "pretty")
 
 def _module(cfg: argparse.Namespace) -> VermaModule:
     ring = Ring(cfg.char, cfg.h.strip() == "h")
+    if cfg.c.strip() == "h":
+        raise ValueError("--c must be a number: only --h may be the formal weight h")
     return verma_module(ring.parse(cfg.c), ring.parse(cfg.h), ring)
 
 

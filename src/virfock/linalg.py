@@ -1,22 +1,26 @@
 """Exact linear algebra over Q and F_p.
 
-Every entry point first turns its rows into sparse {key: entry} dicts
-without zero entries (int residues in [0, p) over F_p, Fractions over Q);
-that one pass also rejects scalars of another ring.
+Every entry point first turns its rows into sparse {key: int} dicts without
+zero entries, which also rejects scalars of another ring: over F_p the
+entries are residues in [0, p), over Q each row is multiplied by the lcm of
+its denominators.  Scaling a row by a nonzero rational changes neither the
+row space nor the kernel, so Fractions appear only where a result is
+built: in nullspace's back substitution and in det's quotient.
 
-There is one sparse reduction loop, `_reduce`: a row is reduced against the
-pivot rows by its smallest key until it is zero or its smallest key has no
-pivot row yet; scaled to 1 there, it becomes that key's pivot row.  The
-sparse echelon feeds it matrix rows in descending order of their smallest
-column, SpanBuilder feeds it term dicts one at a time.  The echelon's pivot
+There is one sparse reduction loop, `_reduce`, the same over both fields.
+A row is reduced against the pivot rows by its smallest key until it is
+zero or its smallest key has no pivot row yet; it then becomes that key's
+pivot row, stored as (lead, rest): scaled to lead 1 over F_p, divided by
+its content over Q with the lead made positive.  Clearing a key against a pivot row with lead a never
+divides: the row is first multiplied by a / gcd(a, f).  The sparse echelon
+feeds the loop matrix rows in descending order of their smallest column,
+SpanBuilder feeds it term dicts one at a time.  The echelon's pivot
 columns are the RREF pivot columns, which depend only on the row space, so
 the free columns and the kernel basis with unit free coordinates do not
-depend on the row order.  Over F_p rank, nullspace and det all use it.
-Over Q, nullspace first runs it mod the prime P = 2^31 - 1: rank mod P is
-at most the rank over Q, so full column rank mod P proves the kernel empty.
-Otherwise the echelon runs on the Fractions themselves.  rank and det over
-Q use dense fraction-free Bareiss elimination, which suits the dense Gram
-matrices they are called on.
+depend on the row order.  rank, nullspace and det all run it.  Over Q,
+nullspace first runs it on the int rows mod the prime P = 2^31 - 1: rank
+mod P is at most the rank over Q, so full column rank mod P proves the
+kernel empty.
 
 SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
 scalar}, the `terms` of every vector class, so callers never build
@@ -27,14 +31,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .lincomb import Terms
 from .scalars import Fp, Ring, RingMismatchError, Scalar
 
-Entry = Union[int, Fraction]  # an int residue mod p, or a rational
-SparseRow = Dict[Hashable, Entry]  # {column or basis key: nonzero entry}
+SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
+Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
 Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
 
 # The prime of the empty-kernel certificate in nullspace over Q.
@@ -48,56 +52,64 @@ def _field_char(ring: Ring) -> int:
     return ring.char
 
 
-def _entries(items: Iterable[Tuple[Hashable, Scalar]], p: int) -> SparseRow:
-    """The (key, scalar) pairs as a {key: entry} dict without zero entries:
-    int residues over F_p (p > 0), Fractions over Q (p = 0).  Raises
+def _entries(items: Iterable[Tuple[Hashable, Scalar]], p: int) -> Tuple[int, SparseRow]:
+    """(den, row): the (key, scalar) pairs times den as a {key: int} dict
+    without zero entries.  Over F_p (p > 0) den is 1 and the entries are
+    residues; over Q (p = 0) den is the lcm of the denominators.  Raises
     RingMismatchError on a scalar of another ring."""
-    d: SparseRow = {}
-    for j, x in items:
-        if p:
+    d = {}
+    if p:
+        for j, x in items:
             if not isinstance(x, Fp) or x.p != p:
                 raise RingMismatchError(f"{x!r} is not an element of F_{p}")
             if x.v:
                 d[j] = x.v
-        elif isinstance(x, Fraction):
-            if x:
-                d[j] = x
-        elif isinstance(x, int):
-            if x:
-                d[j] = Fraction(x)
-        else:
+        return 1, d
+    den = 1
+    for j, x in items:
+        if not isinstance(x, (int, Fraction)):
             raise RingMismatchError(f"{x!r} is not a rational number")
-    return d
+        if x:
+            d[j] = x
+            den = lcm(den, x.denominator)
+    return den, {j: x.numerator * (den // x.denominator) for j, x in d.items()}
 
 
 def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
-    """Dense rows or {column: scalar} dicts as {column: entry} dicts."""
+    """Dense rows or {column: scalar} dicts as {column: int} dicts."""
     p = _field_char(ring)
-    return [_entries(row.items() if isinstance(row, dict) else enumerate(row), p) for row in rows]
+    return [_entries(row.items() if isinstance(row, dict) else enumerate(row), p)[1] for row in rows]
 
 
-def _reduce(row: SparseRow, pivots: Dict[Hashable, SparseRow], p: int) -> Optional[Tuple[Hashable, Entry]]:
-    """Reduce row in place by the pivot rows, smallest key first.  Returns
-    None if it reduces to zero, else the first key c with no pivot row and
-    its entry f; c is then popped and the rest divided by f, which makes the
-    row c's pivot row.  Pivot rows hold only keys above their own, with the
-    pivot entry 1 left out, so eliminating a key only brings in larger ones.
+def _reduce(row: SparseRow, pivots: Pivots, p: int) -> Optional[Tuple[Hashable, int, int]]:
+    """Reduce row in place by the pivot rows, smallest key first, without
+    dividing.  Returns None if it reduces to zero, else (c, f, m): c is the
+    first key with no pivot row, and m times the input row, plus multiples
+    of pivot rows, has entry f at c and the rest left in row, c popped.
+    Pivot rows hold only keys above their own, so eliminating a key only
+    brings in larger ones.  Over F_p every pivot lead is 1, so m is 1.
     """
     # The row's keys, smallest first; a key that cancelled stays in the heap
     # and is skipped when it comes up.
     heap = list(row)
     heapify(heap)
+    m = 1
     while heap:
         c = heappop(heap)
         f = row.pop(c, None)
         if f is None:
             continue
-        tail = pivots.get(c)
-        if tail is None:
-            inv = pow(f, -1, p) if p else 1 / f
-            for j in row:
-                row[j] = row[j] * inv % p if p else row[j] * inv
-            return c, f
+        pivot = pivots.get(c)
+        if pivot is None:
+            return c, f, m
+        a, tail = pivot
+        if a != 1:
+            g = gcd(a, f)
+            k, f = a // g, f // g
+            if k != 1:
+                for j in row:
+                    row[j] *= k
+                m *= k
         for j, y in tail.items():
             x = row.get(j)
             if x is None:
@@ -112,104 +124,60 @@ def _reduce(row: SparseRow, pivots: Dict[Hashable, SparseRow], p: int) -> Option
     return None
 
 
-def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Dict[int, SparseRow], List[Tuple[int, int, Entry]]]:
-    """Row echelon form of sparse rows over F_p (p > 0, int residues) or
-    Q (p = 0, Fractions); the rows are consumed.
+def _add_pivot(pivots: Pivots, c: Hashable, f: int, row: SparseRow, p: int) -> None:
+    """Store row, reduced to entry f at c with c popped, as c's pivot row:
+    scaled to lead 1 over F_p, divided by its content over Q with the sign
+    that makes the lead positive, so that a lead of 1 needs no scaling in
+    _reduce."""
+    if p:
+        inv = pow(f, -1, p)
+        for j in row:
+            row[j] = row[j] * inv % p
+        pivots[c] = (1, row)
+        return
+    g = gcd(f, *row.values())
+    if f < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    pivots[c] = (f // g, row)
 
-    Returns the pivot rows keyed by pivot column, each without its pivot
-    entry, which is 1, and per pivot the input row index it came from, its
-    column and its lead before scaling, in the order the rows were taken.
+
+def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Pivots, List[Tuple[int, int, int, int]]]:
+    """Row echelon form of sparse int rows over F_p (p > 0) or Q (p = 0);
+    the rows are consumed.
+
+    Returns the pivot rows keyed by pivot column, and per pivot, in the
+    order the rows were taken, (i, c, f, m): m times input row i, plus
+    multiples of the pivot rows before it, has lead f in column c.
     """
-    pivots: Dict[int, SparseRow] = {}
+    pivots: Pivots = {}
     leads = []
     for i in sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]), reverse=True):
         lead = _reduce(rows[i], pivots, p)
         if lead is not None:
-            pivots[lead[0]] = rows[i]
+            _add_pivot(pivots, lead[0], lead[1], rows[i], p)
             leads.append((i, *lead))
     return pivots, leads
 
 
 def _certified_empty_kernel(rows: List[SparseRow], ncols: int) -> bool:
-    """True when the rational rows have full column rank mod
-    CERTIFICATE_PRIME, which proves their kernel over Q is empty.  False
-    proves nothing; it is also the answer when the prime divides a
-    denominator, since the rows then have no image mod it."""
+    """True when the int rows of a rational matrix have full column rank
+    mod CERTIFICATE_PRIME, which proves their kernel over Q, and so the
+    matrix's, empty.  False proves nothing."""
     P = CERTIFICATE_PRIME
     if len(rows) < ncols:
         return False
-    inverses: Dict[int, int] = {}
-    reduced = []
-    for row in rows:
-        d = {}
-        for j, x in row.items():
-            q = x.denominator
-            inv = inverses.get(q)
-            if inv is None:
-                if q % P == 0:
-                    return False
-                inv = inverses[q] = pow(q, -1, P)
-            v = x.numerator * inv % P
-            if v:
-                d[j] = v
-        reduced.append(d)
+    reduced = [{j: v for j, x in row.items() if (v := x % P)} for row in rows]
     return len(_sparse_echelon(reduced, P)[0]) == ncols
-
-
-def _bareiss(rows: List[SparseRow], ncols: int) -> Tuple[int, Fraction]:
-    """Rank and determinant of rational rows by dense fraction-free
-    elimination.
-
-    Rows are cleared to integers and every update divides exactly by the
-    previous pivot, which keeps intermediate entries polynomial-sized
-    instead of letting gcd work dominate.  The last pivot, the row-swap sign
-    and the clearing multipliers give the determinant, which is zero unless
-    the matrix is square of full rank.
-    """
-    a = []
-    scale = 1
-    for row in rows:
-        den = 1
-        for x in row.values():
-            den = den * x.denominator // gcd(den, x.denominator)
-        a.append([int(row[j] * den) if j in row else 0 for j in range(ncols)])
-        scale *= den
-    m = len(a)
-    r = 0
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        pr = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            sign = -sign
-        piv = a[r][col]
-        # Every row below the pivot is updated at every step: the exact
-        # division by the previous pivot is only valid on rows that were
-        # rescaled in the preceding step, including rows with a zero lead.
-        for i in range(r + 1, m):
-            lead = a[i][col]
-            for j in range(col, ncols):
-                a[i][j] = (piv * a[i][j] - lead * a[r][j]) // prev
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    if r < ncols or r < m:
-        return r, Fraction(0)
-    return r, Fraction(sign * prev, scale)
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ring: Ring) -> int:
     """Rank of a matrix given as a list of rows of ring scalars."""
     if not rows or not rows[0]:
         return 0
-    a = _sparse_rows(rows, ring)
-    if ring.char:
-        return len(_sparse_echelon(a, ring.char)[0])
-    return _bareiss(a, len(rows[0]))[0]
+    return len(_sparse_echelon(_sparse_rows(rows, ring), ring.char)[0])
 
 
 def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
@@ -220,8 +188,10 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
 
     One basis vector per free column, in increasing column order, each with
     a 1 in its free coordinate and 0 in the other free coordinates, read off
-    the sparse echelon by back substitution.  Over Q the mod-P certificate
-    is tried first and answers [] when it proves the kernel empty.
+    the sparse echelon by back substitution: x_c = -sum_j y_j x_j / a for the
+    pivot row (a, {j: y_j}) of each pivot column c.  Over Q the mod-P
+    certificate is tried first and answers [] when it proves the kernel
+    empty.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -238,14 +208,15 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
     for f in range(ncols):
         if f in pivots:
             continue
-        x: SparseRow = {f: 1}
+        x = {f: 1}
         for c in descending:
             if c < f:
-                s = sum(y * x[j] for j, y in pivots[c].items() if j in x)
+                lead, tail = pivots[c]
+                s = sum(y * x[j] for j, y in tail.items() if j in x)
                 if p:
                     s %= p
                 if s:
-                    x[c] = (-s) % p if p else -s
+                    x[c] = (-s) % p if p else Fraction(-s, lead)
         vec = [zero] * ncols
         for j, v in x.items():
             vec[j] = Fp(v, p) if p else Fraction(v)
@@ -275,50 +246,53 @@ def joint_kernel(basis: Sequence, maps: Sequence[Sequence[Terms]], ring: Ring) -
 def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
     """Determinant of a square matrix, exact in the given field.
 
-    Over F_p it is the product of the sparse echelon's leads, signed by the
-    permutation that takes each input row to its pivot column: a row is only
-    ever changed by adding multiples of rows taken before it.
+    Each row is first multiplied by its den to make it an int row.  The
+    sparse echelon's unnormalized leads f and row multipliers m then give
+    det = sign * prod(f) / (prod(m) * prod(den)), signed by the permutation
+    that takes each input row to its pivot column: a row is only ever
+    scaled by its own m and changed by adding multiples of rows taken
+    before it.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return ring.one()
-    a = _sparse_rows(rows, ring)
-    p = ring.char
-    if not p:
-        return _bareiss(a, n)[1]
-    leads = _sparse_echelon(a, p)[1]
+    p = _field_char(ring)
+    scaled = [_entries(enumerate(row), p) for row in rows]
+    leads = _sparse_echelon([row for _, row in scaled], p)[1]
     if len(leads) < n:
         return ring.zero()
-    cols = [c for _, c, _ in sorted(leads)]
-    d = -1 if sum(x > y for k, x in enumerate(cols) for y in cols[k + 1:]) % 2 else 1
-    for _, _, lead in leads:
-        d = d * lead % p
-    return Fp(d, p)
+    cols = [c for _, c, _, _ in sorted(leads)]
+    num = -1 if sum(x > y for k, x in enumerate(cols) for y in cols[k + 1:]) % 2 else 1
+    den = prod(d for d, _ in scaled)
+    for _, _, f, m in leads:
+        num *= f
+        den *= m
+    return Fp(num * pow(den, -1, p), p) if p else Fraction(num, den)
 
 
 class SpanBuilder:
     """Incrementally maintained row space over a field: the sparse echelon
     fed one term dict {basis key: nonzero scalar} at a time, keys being
-    mutually ordered (ints, or tuples of ints).  Each row is converted and
-    checked against the ring as matrix rows are, then reduced.  add() keeps
-    a nonzero remainder as a new pivot row and reports whether the span
-    grew; contains() reduces a copy and stores nothing.
+    mutually ordered (ints, or tuples of ints).  Each row is converted to
+    ints and checked against the ring as matrix rows are, then reduced.
+    add() keeps a nonzero remainder as a new pivot row and reports whether
+    the span grew; contains() reduces a copy and stores nothing.
     """
 
     def __init__(self, ring: Ring):
         self._p = _field_char(ring)
-        self._pivots: Dict[Hashable, SparseRow] = {}
+        self._pivots: Pivots = {}
 
     def contains(self, terms: Terms) -> bool:
-        return _reduce(_entries(terms.items(), self._p), self._pivots, self._p) is None
+        return _reduce(_entries(terms.items(), self._p)[1], self._pivots, self._p) is None
 
     def add(self, terms: Terms) -> bool:
-        row = _entries(terms.items(), self._p)
+        row = _entries(terms.items(), self._p)[1]
         lead = _reduce(row, self._pivots, self._p)
         if lead is not None:
-            self._pivots[lead[0]] = row
+            _add_pivot(self._pivots, lead[0], lead[1], row, self._p)
         return lead is not None
 
     @property

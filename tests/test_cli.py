@@ -294,6 +294,24 @@ def test_mode_apply_rejects_bad_words(capsys):
     assert code == 1 and "array of integers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mode-apply", "--c", "h", "--h", "h", "--n", "1", "--target", "[-2]"],
+        ["mode-apply", "--c", " h ", "--h", "1/2", "--n", "1"],
+        ["singvec", "--c", "h", "--h", "h", "--degree", "2"],
+        ["irrdims", "--c", "h", "--h", "0", "--max", "2"],
+    ],
+    ids=["mode-apply-formal-h", "mode-apply-numeric-h", "singvec", "irrdims"],
+)
+def test_only_the_weight_may_be_formal(argv, capsys):
+    # In a formal ring --c h would parse as the weight variable and silently
+    # set the central charge equal to h.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert "only --h may be the formal weight" in err
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and F_p: rank, nullspace, determinant,
-incremental span tracking.  Rank over Q uses fraction-free elimination, and
-SpanBuilder shares its reduction with rank over F_p, so both are
-cross-checked here against a plain field-division oracle; the sparse
-echelon and the mod-P certificate are cross-checked against the dense
-elimination they replaced, kept here as an oracle."""
+incremental span tracking.  All of them run one fraction-free sparse
+reduction on int rows, so rank and SpanBuilder are cross-checked here
+against a plain field-division oracle, and rank, nullspace, det and the
+mod-P certificate against dense elimination (Bareiss over Q), kept here
+as an oracle, on random sparse matrices, on rationals with large
+numerators and denominators, and on dense Gram matrices."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -304,14 +305,20 @@ def typed(value):
     return (type(value), value)
 
 
+# Rationals whose numerators and denominators run to 40 digits, coprime
+# after normalization: cleared rows have large contents and the echelon's
+# row multipliers grow, so det's quotient and content division are used.
+large_fractions = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+
+
 @st.composite
 def sparse_matrix_case(draw):
     """A ring and a sparse matrix over it, wide or tall, with whole zero
     columns and rows that repeat earlier rows; over Q some entries are
-    plain ints."""
+    plain ints, or all are large rationals."""
     ring = draw(st.sampled_from([QQ, GF(3), GF(7)]))
     if ring.char == 0:
-        entries = st.one_of(fractions(max_num=5, max_den=4), st.integers(-3, 3))
+        entries = draw(st.sampled_from([st.one_of(fractions(max_num=5, max_den=4), st.integers(-3, 3)), large_fractions]))
     else:
         entries = fp_elements(ring.char)
     zero = ring.zero() if ring.char else draw(st.sampled_from([0, ring.zero()]))
@@ -337,6 +344,22 @@ def test_sparse_elimination_matches_dense_oracle(case):
     assert typed(det(square, ring)) == typed(dense_det(square, ring))
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2), Fraction(1, 16)], ids=["h0", "h1_2", "h1_16"])
+def test_dense_gram_matrices_match_dense_oracle(h, ring):
+    # The dense input rank and det were served by dense elimination before
+    # the sparse echelon took them over: every leading k x k block of the
+    # Gram matrices at c = 1/2 up to degree 8.
+    mod = verma_module(Fraction(1, 2), ring.coerce(h), ring)
+    for degree in range(9):
+        rows = mod.gram_matrix(degree).rows()
+        for k in range(1, len(rows) + 1):
+            block = [row[:k] for row in rows[:k]]
+            assert rank(block, ring) == dense_rank(block, ring)
+            assert typed(nullspace(block, ring)) == typed(dense_nullspace(block, ring))
+            assert typed(det(block, ring)) == typed(dense_det(block, ring))
+
+
 P = CERTIFICATE_PRIME
 
 
@@ -352,8 +375,9 @@ def _q_rows(ints):
         # multiples of P: rank drops mod P but not over Q
         (_q_rows([[P, 0], [0, 1], [0, 0]]), False, 0),
         (_q_rows([[1, 1], [1, 1 + P]]), False, 0),
-        # a denominator divisible by P: no image mod P, so no certificate
-        ([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], False, 0),
+        # a denominator divisible by P: rows are cleared of denominators
+        # first, so the int row has an image mod P and can certify
+        ([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], True, 0),
         ([[Fraction(1, 2 * P), Fraction(1), Fraction(0)], [Fraction(1, P), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], False, 1),
         # a nonzero kernel over Q
         (_q_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 1, 1]]), False, 1),
