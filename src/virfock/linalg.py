@@ -11,16 +11,15 @@ There is one sparse reduction loop, `_reduce`, the same over both fields.
 A row is reduced against the pivot rows by its smallest key until it is
 zero or its smallest key has no pivot row yet; it then becomes that key's
 pivot row, stored as (lead, rest): scaled to lead 1 over F_p, divided by
-its content over Q with the lead made positive.  Clearing a key against a pivot row with lead a never
-divides: the row is first multiplied by a / gcd(a, f).  The sparse echelon
-feeds the loop matrix rows in descending order of their smallest column,
-SpanBuilder feeds it term dicts one at a time.  The echelon's pivot
-columns are the RREF pivot columns, which depend only on the row space, so
-the free columns and the kernel basis with unit free coordinates do not
-depend on the row order.  rank, nullspace and det all run it.  Over Q,
-nullspace first runs it on the int rows mod the prime P = 2^31 - 1: rank
-mod P is at most the rank over Q, so full column rank mod P proves the
-kernel empty.
+its content over Q with the lead made positive.  Clearing a key against a
+pivot row with lead a never divides: the row is first multiplied by
+a / gcd(a, f).  The sparse echelon feeds the loop matrix rows in
+descending order of their smallest column, SpanBuilder feeds it term dicts
+one at a time.  The echelon's pivot columns are the RREF pivot columns,
+which depend only on the row space, so the free columns and the kernel
+basis with unit free coordinates do not depend on the row order.  rank,
+nullspace and det all run it, the same echelon over Q and F_p: the kernel
+is empty exactly when every column has a pivot.
 
 SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
 scalar}, the `terms` of every vector class, so callers never build
@@ -40,9 +39,6 @@ from .scalars import Fp, Ring, RingMismatchError, Scalar
 SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
 Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
 Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
-
-# The prime of the empty-kernel certificate in nullspace over Q.
-CERTIFICATE_PRIME = 2**31 - 1
 
 
 def _field_char(ring: Ring) -> int:
@@ -162,17 +158,6 @@ def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Pivots, List[Tuple[i
     return pivots, leads
 
 
-def _certified_empty_kernel(rows: List[SparseRow], ncols: int) -> bool:
-    """True when the int rows of a rational matrix have full column rank
-    mod CERTIFICATE_PRIME, which proves their kernel over Q, and so the
-    matrix's, empty.  False proves nothing."""
-    P = CERTIFICATE_PRIME
-    if len(rows) < ncols:
-        return False
-    reduced = [{j: v for j, x in row.items() if (v := x % P)} for row in rows]
-    return len(_sparse_echelon(reduced, P)[0]) == ncols
-
-
 def rank(rows: Sequence[Sequence[Scalar]], ring: Ring) -> int:
     """Rank of a matrix given as a list of rows of ring scalars."""
     if not rows or not rows[0]:
@@ -189,19 +174,15 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
     One basis vector per free column, in increasing column order, each with
     a 1 in its free coordinate and 0 in the other free coordinates, read off
     the sparse echelon by back substitution: x_c = -sum_j y_j x_j / a for the
-    pivot row (a, {j: y_j}) of each pivot column c.  Over Q the mod-P
-    certificate is tried first and answers [] when it proves the kernel
-    empty.
+    pivot row (a, {j: y_j}) of each pivot column c.  Q and F_p run the same
+    echelon; the basis is empty when every column has a pivot.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return [[ring.one() if i == j else ring.zero() for i in range(ncols)] for j in range(ncols)]
-    a = _sparse_rows(rows, ring)
     p = ring.char
-    if not p and _certified_empty_kernel(a, ncols):
-        return []
-    pivots = _sparse_echelon(a, p)[0]
+    pivots = _sparse_echelon(_sparse_rows(rows, ring), p)[0]
     descending = sorted(pivots, reverse=True)
     zero = ring.zero()
     out = []

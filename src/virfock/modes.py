@@ -182,8 +182,8 @@ class ModeEngine:
         return VermaVector(out)
 
 
-def engine_for(params) -> ModeEngine:
-    module = _as_module(params)
+def engine_for(module) -> ModeEngine:
+    module = _as_module(module)
     eng = getattr(module, "_mode_engine", None)
     if eng is None:
         eng = ModeEngine(module)
@@ -191,9 +191,9 @@ def engine_for(params) -> ModeEngine:
     return eng
 
 
-def mode_apply(state: StateWord, n: int, target: VermaVector, params) -> VermaVector:
+def mode_apply(state: StateWord, n: int, target: VermaVector, module) -> VermaVector:
     """The mode u_n of a composite state u, applied to a Verma vector."""
-    return engine_for(params).apply(state, n, target)
+    return engine_for(module).apply(state, n, target)
 
 
 @dataclass
@@ -209,7 +209,7 @@ class AnnihilationReport:
         return not self.violations
 
 
-def verify_annihilation(state: StateWord, params, max_mode: int, max_target_degree: int) -> AnnihilationReport:
+def verify_annihilation(state: StateWord, module, max_mode: int, max_target_degree: int) -> AnnihilationReport:
     """Check that every mode of the state maps every degree slice of the
     irreducible quotient L(c, h) to zero.
 
@@ -219,7 +219,7 @@ def verify_annihilation(state: StateWord, params, max_mode: int, max_target_degr
     over -max_mode <= n and land in degrees <= max_target_degree, so all
     needed Gram matrices stay small.  Violations are collected, not raised.
     """
-    module = _as_module(params)
+    module = _as_module(module)
     eng = engine_for(module)
     deg_s = state_degree(state)
     report = AnnihilationReport(state_degree=deg_s)

@@ -485,4 +485,8 @@ def scalar_from_json(data, ring: Ring) -> Scalar:
         if ring.char != p:
             raise RingMismatchError(f"scalar mod {p} in a ring of characteristic {ring.char}")
         return ring.coerce(int(vs))
-    return ring.coerce(Fraction(s))
+    try:
+        q = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+    return ring.coerce(q)

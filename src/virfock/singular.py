@@ -93,14 +93,14 @@ class CharacterTable:
         }
 
 
-def singular_space(params, degree: int) -> SingularBasis:
+def singular_space(module, degree: int) -> SingularBasis:
     """All singular vectors of the given degree, as a normalized basis.
 
     Stacks the coefficient matrices of L(1): V(n) -> V(n-1) and
     L(2): V(n) -> V(n-2) and returns their joint nullspace.  An empty basis
     is a valid result.
     """
-    mod = _as_module(params)
+    mod = _as_module(module)
     if degree < 1:
         raise ValueError("singular vectors have positive degree")
     basis = partitions(degree)
@@ -109,31 +109,31 @@ def singular_space(params, degree: int) -> SingularBasis:
     return SingularBasis(mod.params, degree, vectors)
 
 
-def is_singular(vec: VermaVector, params) -> bool:
+def is_singular(vec: VermaVector, module) -> bool:
     """True when the nonzero homogeneous vector is killed by L(1) and L(2)."""
     if not vec:
         raise ValueError("the zero vector is not eligible")
     if not vec.is_homogeneous():
         raise ValueError("singularity is only defined for homogeneous vectors")
-    mod = _as_module(params)
+    mod = _as_module(module)
     return not mod.apply_mode(1, vec) and not mod.apply_mode(2, vec)
 
 
-def singular_degrees(params, max_degree: int) -> List[int]:
+def singular_degrees(module, max_degree: int) -> List[int]:
     """Degrees 1..max_degree carrying at least one singular vector."""
-    return [n for n in range(1, max_degree + 1) if singular_space(params, n).vectors]
+    return [n for n in range(1, max_degree + 1) if singular_space(module, n).vectors]
 
 
-def radical_basis(params, degree: int) -> List[VermaVector]:
+def radical_basis(module, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
-    mod = _as_module(params)
+    mod = _as_module(module)
     g = mod.gram_matrix(degree)
     return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.rows(), mod.ring)]
 
 
-def irreducible_dims(params, max_degree: int) -> CharacterTable:
+def irreducible_dims(module, max_degree: int) -> CharacterTable:
     """Graded dimensions of the irreducible quotient via Gram ranks."""
-    mod = _as_module(params)
+    mod = _as_module(module)
     if mod.ring.formal:
         raise ValueError("irreducible dimensions need a field, not a formal ring")
     rows = []
@@ -158,7 +158,7 @@ def reduce_vector_mod_p(vec: VermaVector, p: int) -> VermaVector:
     return VermaVector(reduce_terms_mod_p(vec.normalized().terms, p))
 
 
-def generated_submodule_dims(params, seeds: Sequence[VermaVector], max_degree: int) -> List[int]:
+def generated_submodule_dims(module, seeds: Sequence[VermaVector], max_degree: int) -> List[int]:
     """Graded dimensions of the submodule generated by singular seed vectors.
 
     Each seed must be homogeneous and killed by all positive modes, so the
@@ -167,7 +167,7 @@ def generated_submodule_dims(params, seeds: Sequence[VermaVector], max_degree: i
     by degree with the generators L(-1)..L(-max_degree), each tracked by the
     term dicts of the vectors reaching it, so no partition basis is built.
     """
-    mod = _as_module(params)
+    mod = _as_module(module)
     for w in seeds:
         if w and not is_singular(w, mod):
             raise ValueError("seed vectors must be singular")

@@ -303,15 +303,8 @@ def verma_module(c, h, ring: Ring = None) -> VermaModule:
     return mod
 
 
-def _as_module(params) -> VermaModule:
-    """A VermaModule as given, or the shared one for a ModuleParams triple."""
-    if isinstance(params, VermaModule):
-        return params
-    if isinstance(params, ModuleParams):
-        return verma_module(params.c, params.h, params.ring)
-    raise TypeError(f"expected ModuleParams or VermaModule, got {params!r}")
-
-
-def gram_matrix(params: ModuleParams, degree: int) -> GramMatrix:
-    """Functional form of the Gram matrix for a given parameter triple."""
-    return verma_module(params.c, params.h, params.ring).gram_matrix(degree)
+def _as_module(module) -> VermaModule:
+    """module itself; TypeError unless it is a VermaModule."""
+    if isinstance(module, VermaModule):
+        return module
+    raise TypeError(f"expected a VermaModule, got {module!r}")

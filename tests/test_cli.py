@@ -312,6 +312,22 @@ def test_only_the_weight_may_be_formal(argv, capsys):
     assert "only --h may be the formal weight" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singvec", "--c", "1/0", "--degree", "2"],
+        ["singvec", "--h", "1/0", "--degree", "2"],
+        ["irrdims", "--h", "1/0", "--char", "7", "--max", "2"],
+        ["mode-apply", "--c", "1/0", "--h", "h", "--n", "1"],
+    ],
+    ids=["singvec-c", "singvec-h", "irrdims-h", "mode-apply-c"],
+)
+def test_zero_denominator_is_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 # ---------------------------------------------------------------------------

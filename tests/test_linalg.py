@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and F_p: rank, nullspace, determinant,
 incremental span tracking.  All of them run one fraction-free sparse
-reduction on int rows, so rank and SpanBuilder are cross-checked here
-against a plain field-division oracle, and rank, nullspace, det and the
-mod-P certificate against dense elimination (Bareiss over Q), kept here
-as an oracle, on random sparse matrices, on rationals with large
+reduction on int rows, the same echelon over Q and F_p, so rank and
+SpanBuilder are cross-checked here against a plain field-division oracle,
+and rank, nullspace and det against dense elimination (Bareiss over Q),
+kept here as an oracle, on random sparse matrices, on rationals with large
 numerators and denominators, and on dense Gram matrices."""
 
 from fractions import Fraction
@@ -15,16 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fp_elements, fractions
 from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis
-from virfock.linalg import (
-    CERTIFICATE_PRIME,
-    SpanBuilder,
-    _certified_empty_kernel,
-    _sparse_rows,
-    det,
-    joint_kernel,
-    nullspace,
-    rank,
-)
+from virfock.linalg import SpanBuilder, det, joint_kernel, nullspace, rank
 from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring
 from virfock.singular import singular_space
 from virfock.verma import VermaVector, partitions, verma_module
@@ -360,7 +351,9 @@ def test_dense_gram_matrices_match_dense_oracle(h, ring):
             assert typed(det(block, ring)) == typed(dense_det(block, ring))
 
 
-P = CERTIFICATE_PRIME
+# A large prime: entries and denominators that are multiples of it check
+# that Q rows are cleared to ints exactly, with no modular shortcut.
+P = 2**31 - 1
 
 
 def _q_rows(ints):
@@ -368,24 +361,21 @@ def _q_rows(ints):
 
 
 @pytest.mark.parametrize(
-    "rows, certified, kernel_dim",
+    "rows, kernel_dim",
     [
-        # full column rank mod P: the certificate answers
-        (_q_rows([[1, 2], [3, 4], [5, 6]]), True, 0),
-        # multiples of P: rank drops mod P but not over Q
-        (_q_rows([[P, 0], [0, 1], [0, 0]]), False, 0),
-        (_q_rows([[1, 1], [1, 1 + P]]), False, 0),
-        # a denominator divisible by P: rows are cleared of denominators
-        # first, so the int row has an image mod P and can certify
-        ([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], True, 0),
-        ([[Fraction(1, 2 * P), Fraction(1), Fraction(0)], [Fraction(1, P), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], False, 1),
+        (_q_rows([[1, 2], [3, 4], [5, 6]]), 0),
+        # multiples of P: full column rank over Q, though not mod P
+        (_q_rows([[P, 0], [0, 1], [0, 0]]), 0),
+        (_q_rows([[1, 1], [1, 1 + P]]), 0),
+        # denominators divisible by P, cleared by the row's lcm
+        ([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], 0),
+        ([[Fraction(1, 2 * P), Fraction(1), Fraction(0)], [Fraction(1, P), Fraction(2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]], 1),
         # a nonzero kernel over Q
-        (_q_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 1, 1]]), False, 1),
+        (_q_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 1, 1]]), 1),
     ],
     ids=["full-rank-mod-P", "column-of-P", "det-P", "den-P", "den-2P-kernel", "kernel"],
 )
-def test_certificate_exits_agree_with_the_exact_kernel(rows, certified, kernel_dim):
-    assert _certified_empty_kernel(_sparse_rows(rows, QQ), len(rows[0])) is certified
+def test_certificate_exits_agree_with_the_exact_kernel(rows, kernel_dim):
     basis = nullspace(rows, QQ)
     assert len(basis) == kernel_dim
     assert typed(basis) == typed(dense_nullspace(rows, QQ))

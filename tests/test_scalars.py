@@ -236,6 +236,14 @@ def test_parse_accepts_all_string_forms():
     assert formal_ring(0).parse("h") == formal_ring(0).h()
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(7), formal_ring(0)], ids=["Q", "F7", "Q[h]"])
+def test_parse_rejects_a_zero_denominator(ring):
+    with pytest.raises(ValueError, match=r"zero denominator in '1/0'"):
+        ring.parse("1/0")
+    with pytest.raises(ValueError, match=r"zero denominator in '-3/0'"):
+        scalar_from_json(" -3/0 ", ring)
+
+
 # ------------------------------------------- Poly against the reference
 
 class _RefPoly:

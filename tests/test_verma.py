@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import fractions
 from virfock.linalg import det
 from virfock.scalars import GF, QQ, DenominatorDivisibleByP, central_coeff, formal_ring
-from virfock.verma import VermaModule, VermaVector, gram_matrix, partitions, verma_dim, verma_module
+from virfock.verma import VermaModule, VermaVector, partitions, verma_dim, verma_module
 
 SAMPLE_PARAMS = [
     (Fraction(1, 2), Fraction(0)),
@@ -253,11 +253,6 @@ def test_gram_reduces_entrywise_mod_p():
         assert gp.basis == gq.basis
         for rq, rp in zip(gq.entries, gp.entries):
             assert tuple(ring.of_fraction(x) for x in rq) == tuple(rp)
-
-
-def test_module_level_gram_helper_matches_method():
-    mod = q_module("1/2", "1/16")
-    assert gram_matrix(mod.params, 3).entries == mod.gram_matrix(3).entries
 
 
 # ------------------------------------------------------- vacuum quotient
