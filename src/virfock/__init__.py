@@ -8,7 +8,6 @@ evaluates modes of composite states such as the degree-6 vacuum singular
 state.  All arithmetic is exact; characteristic 2 is rejected throughout.
 """
 
-from .battery import CheckResult, VerificationReport, run_battery
 from .fock import (
     NS,
     RAMOND,
@@ -59,6 +58,17 @@ from .singular import (
 from .verma import GramMatrix, ModuleParams, VermaModule, VermaVector, partitions, verma_dim, verma_module
 
 __version__ = "0.1.0"
+
+_BATTERY_NAMES = ("CheckResult", "VerificationReport", "run_battery")
+
+
+def __getattr__(name: str):
+    # The battery is loaded on first use: only `verify-paper` needs it.
+    if name in _BATTERY_NAMES:
+        from . import battery
+
+        return getattr(battery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AnnihilationReport",

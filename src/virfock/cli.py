@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .battery import run_battery
 from .fock import (
     NS,
     RAMOND,
@@ -153,6 +152,9 @@ def cmd_mode_apply(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_verify_paper(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    # Imported here so that the other commands do not load the battery.
+    from .battery import run_battery
+
     report = run_battery(cfg.only)
     if not report.results:
         raise ValueError(f"no checks match --only {cfg.only!r}")

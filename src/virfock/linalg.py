@@ -5,7 +5,7 @@ zero entries, which also rejects scalars of another ring: over F_p the
 entries are residues in [0, p), over Q each row is multiplied by the lcm of
 its denominators.  Scaling a row by a nonzero rational changes neither the
 row space nor the kernel, so Fractions appear only where a result is
-built: in nullspace's back substitution and in det's quotient.
+built: in nullspace's output vectors and in det's quotient.
 
 There is one sparse reduction loop, `_reduce`, the same over both fields.
 A row is reduced against the pivot rows by its smallest key until it is
@@ -20,6 +20,17 @@ which depend only on the row space, so the free columns and the kernel
 basis with unit free coordinates do not depend on the row order.  rank,
 nullspace and det all run it, the same echelon over Q and F_p: the kernel
 is empty exactly when every column has a pivot.
+
+Rows that reduce to zero cost a full echelon almost all its time, so
+nullspace verifies rather than reduces them.  Its echelon gives each row
+a budget of _STEPS pivot-row subtractions, and defers a row that runs out
+instead of reducing it further.  Back substitution in the pivot rows gives
+a candidate kernel K0, kept over Q as ints over one denominator; each
+deferred row is multiplied into K0, and K0 is the kernel when every such
+residual is 0.  Otherwise the kernel is K0 times the kernel of the
+residual matrix, found by the same routine.  The basis is exactly the one
+a full echelon gives (see nullspace); rank, det and SpanBuilder reduce
+every row fully.
 
 SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
 scalar}, the `terms` of every vector class, so callers never build
@@ -39,6 +50,13 @@ from .scalars import Fp, Ring, RingMismatchError, Scalar
 SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
 Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
 Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
+IntVector = Tuple[int, Dict[int, int]]  # (den, {column: int}): the vector {column: int / den}; den is 1 over F_p
+
+# Pivot rows a row may subtract in nullspace's echelon before it is deferred
+# to the kernel check; rank, det and SpanBuilder reduce every row fully.
+_STEPS = 48
+# _reduce's result for a row that ran out of steps.
+_DEFERRED = object()
 
 
 def _field_char(ring: Ring) -> int:
@@ -77,13 +95,19 @@ def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
     return [_entries(row.items() if isinstance(row, dict) else enumerate(row), p)[1] for row in rows]
 
 
-def _reduce(row: SparseRow, pivots: Pivots, p: int) -> Optional[Tuple[Hashable, int, int]]:
+def _reduce(
+    row: SparseRow, pivots: Pivots, p: int, steps: Optional[int] = None
+) -> Union[None, Tuple[Hashable, int, int], object]:
     """Reduce row in place by the pivot rows, smallest key first, without
     dividing.  Returns None if it reduces to zero, else (c, f, m): c is the
     first key with no pivot row, and m times the input row, plus multiples
     of pivot rows, has entry f at c and the rest left in row, c popped.
     Pivot rows hold only keys above their own, so eliminating a key only
     brings in larger ones.  Over F_p every pivot lead is 1, so m is 1.
+
+    With steps given, the row may subtract at most that many pivot rows:
+    when its next key has a pivot row and no steps are left, it returns
+    _DEFERRED and leaves row partly reduced.
     """
     # The row's keys, smallest first; a key that cancelled stays in the heap
     # and is skipped when it comes up.
@@ -98,6 +122,10 @@ def _reduce(row: SparseRow, pivots: Pivots, p: int) -> Optional[Tuple[Hashable, 
         pivot = pivots.get(c)
         if pivot is None:
             return c, f, m
+        if steps is not None:
+            if not steps:
+                return _DEFERRED
+            steps -= 1
         a, tail = pivot
         if a != 1:
             g = gcd(a, f)
@@ -140,19 +168,28 @@ def _add_pivot(pivots: Pivots, c: Hashable, f: int, row: SparseRow, p: int) -> N
     pivots[c] = (f // g, row)
 
 
-def _sparse_echelon(rows: List[SparseRow], p: int) -> Tuple[Pivots, List[Tuple[int, int, int, int]]]:
+def _sparse_echelon(
+    rows: List[SparseRow], p: int, deferred: Optional[List[int]] = None
+) -> Tuple[Pivots, List[Tuple[int, int, int, int]]]:
     """Row echelon form of sparse int rows over F_p (p > 0) or Q (p = 0);
     the rows are consumed.
 
     Returns the pivot rows keyed by pivot column, and per pivot, in the
     order the rows were taken, (i, c, f, m): m times input row i, plus
     multiples of the pivot rows before it, has lead f in column c.
+
+    Given a deferred list, each row may subtract at most _STEPS pivot rows;
+    the index of a row that runs out is appended to deferred, and the row
+    becomes no pivot row.
     """
+    steps = None if deferred is None else _STEPS
     pivots: Pivots = {}
     leads = []
     for i in sorted((i for i, row in enumerate(rows) if row), key=lambda i: min(rows[i]), reverse=True):
-        lead = _reduce(rows[i], pivots, p)
-        if lead is not None:
+        lead = _reduce(rows[i], pivots, p, steps)
+        if lead is _DEFERRED:
+            deferred.append(i)
+        elif lead is not None:
             _add_pivot(pivots, lead[0], lead[1], rows[i], p)
             leads.append((i, *lead))
     return pivots, leads
@@ -165,6 +202,86 @@ def rank(rows: Sequence[Sequence[Scalar]], ring: Ring) -> int:
     return len(_sparse_echelon(_sparse_rows(rows, ring), ring.char)[0])
 
 
+def _nonzero(row: Dict[int, int], p: int) -> SparseRow:
+    """row's entries, reduced mod p over F_p, without the zero ones."""
+    if p:
+        return {j: v % p for j, v in row.items() if v % p}
+    return {j: v for j, v in row.items() if v}
+
+
+def _back_substitute(pivots: Pivots, ncols: int, p: int) -> List[IntVector]:
+    """The kernel basis of the pivot rows, one vector per free column f in
+    increasing order, with x_f = 1, 0 in the other free columns, and
+    x_c = -sum_j y_j x_j / a for the pivot row (a, {j: y_j}) of each pivot
+    column c < f; x_c = 0 for c > f, so f is the vector's largest key.
+    Over Q the vector is kept as ints over one denominator, which grows by
+    a / gcd(a, s) whenever a pivot lead a does not divide the sum s."""
+    descending = sorted(pivots, reverse=True)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: 1}
+        den = 1
+        for c in descending:
+            if c < f:
+                lead, tail = pivots[c]
+                s = sum(y * x[j] for j, y in tail.items() if j in x)
+                if p:
+                    s %= p
+                if not s:
+                    continue
+                if lead != 1:
+                    g = gcd(s, lead)
+                    k, s = lead // g, s // g
+                    if k != 1:
+                        for j in x:
+                            x[j] *= k
+                        den *= k
+                x[c] = -s % p if p else -s
+        out.append((den, x))
+    return out
+
+
+def _kernel(rows: List[SparseRow], ncols: int, p: int) -> List[IntVector]:
+    """nullspace on sparse int rows, which are left unchanged: the basis
+    vectors as (den, {column: numerator}).  See nullspace."""
+    deferred: List[int] = []
+    pivots = _sparse_echelon([dict(row) for row in rows], p, deferred)[0]
+    basis = _back_substitute(pivots, ncols, p)
+    # The transpose of K0's numerators N_k, so that a residual row D.N
+    # touches only the columns a deferred row shares with K0.
+    by_col: Dict[int, List[Tuple[int, int]]] = {}
+    for k, (_, x) in enumerate(basis):
+        for j, v in x.items():
+            by_col.setdefault(j, []).append((k, v))
+    residuals = []
+    for i in deferred:
+        r: Dict[int, int] = {}
+        for j, d in rows[i].items():
+            for k, v in by_col.get(j, ()):
+                r[k] = r.get(k, 0) + d * v
+        r = _nonzero(r, p)
+        if r:
+            residuals.append(r)
+    if not residuals:
+        return basis
+    # With x_k = y_k N_k / den_k, D.x = 0 reads sum_k (y_k / den_k) D.N_k = 0:
+    # z = (y_k / den_k) is a kernel vector of the residual rows D.N.  The
+    # free columns and the largest key of every vector carry over from z
+    # to x = sum_k z_k N_k, whose free coordinate at z's free column g is
+    # z_g den_g, so that (sum_k z_k N_k) / den_g has unit free coordinates.
+    out = []
+    for dz, z in _kernel(residuals, len(basis), p):
+        g = max(z)
+        acc: Dict[int, int] = {}
+        for k, w in z.items():
+            for j, v in basis[k][1].items():
+                acc[j] = acc.get(j, 0) + w * v
+        out.append((dz * basis[g][0], _nonzero(acc, p)))
+    return out
+
+
 def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
     """Basis of the right null space {x : A x = 0}.
 
@@ -172,35 +289,37 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
     ncols is given.
 
     One basis vector per free column, in increasing column order, each with
-    a 1 in its free coordinate and 0 in the other free coordinates, read off
-    the sparse echelon by back substitution: x_c = -sum_j y_j x_j / a for the
-    pivot row (a, {j: y_j}) of each pivot column c.  Q and F_p run the same
-    echelon; the basis is empty when every column has a pivot.
+    a 1 in its free coordinate and 0 in the other free coordinates.  Q and
+    F_p run the same steps; the basis is empty when every column has a
+    pivot.
+
+    Most of a full echelon's time goes into rows that reduce to zero, so
+    each row, taken in the echelon's order, may subtract at most _STEPS
+    pivot rows; a row that runs out is deferred.  Back substitution in the
+    pivot rows P gives K0, one vector per free column of P.  The deferred
+    rows D, as given, are then checked against K0: if D.K0 = 0, K0 is the
+    kernel; otherwise the kernel is K0 . ker(D.K0), from this same routine
+    on the residual matrix with columns in K0's order, which has fewer
+    columns than A because P has at least one pivot (the first nonzero
+    row needs no steps).  Over any field
+    ker A = {x in ker P : D x = 0} = K0 . ker(D.K0).
+
+    The basis equals the one a full echelon of A gives: a vector of K0 or
+    of ker(D.K0) has its free column as its largest key, so the free
+    columns of A are the columns of K0 picked by the free columns of
+    D.K0, and a basis with unit free coordinates is unique.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows or ncols == 0:
         return [[ring.one() if i == j else ring.zero() for i in range(ncols)] for j in range(ncols)]
     p = ring.char
-    pivots = _sparse_echelon(_sparse_rows(rows, ring), p)[0]
-    descending = sorted(pivots, reverse=True)
     zero = ring.zero()
     out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = {f: 1}
-        for c in descending:
-            if c < f:
-                lead, tail = pivots[c]
-                s = sum(y * x[j] for j, y in tail.items() if j in x)
-                if p:
-                    s %= p
-                if s:
-                    x[c] = (-s) % p if p else Fraction(-s, lead)
+    for den, x in _kernel(_sparse_rows(rows, ring), ncols, p):
         vec = [zero] * ncols
         for j, v in x.items():
-            vec[j] = Fp(v, p) if p else Fraction(v)
+            vec[j] = Fp(v, p) if p else Fraction(v, den)
         out.append(vec)
     return out
 

@@ -482,6 +482,8 @@ def scalar_from_json(data, ring: Ring) -> Scalar:
     if " mod " in s:
         vs, ps = s.split(" mod ")
         p = int(ps)
+        if not ring.char:
+            raise RingMismatchError(f"scalar mod {p} in a ring of characteristic 0, which has no residues")
         if ring.char != p:
             raise RingMismatchError(f"scalar mod {p} in a ring of characteristic {ring.char}")
         return ring.coerce(int(vs))

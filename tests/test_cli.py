@@ -7,10 +7,14 @@ engine objects.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import virfock
 from virfock.cli import main
 from virfock.fock import NS, FockVector
 from virfock.scalars import GF, QQ
@@ -328,9 +332,40 @@ def test_zero_denominator_is_rejected(argv, capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singvec", "--h", "1 mod 0", "--degree", "2"],
+        ["singvec", "--c", "1 mod 0", "--degree", "2"],
+        ["mode-apply", "--c", "1 mod 0", "--h", "h", "--n", "1"],
+    ],
+    ids=["singvec-h", "singvec-c", "mode-apply-c"],
+)
+def test_residue_over_q_is_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: scalar mod 0 in a ring of characteristic 0, which has no residues\n"
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 # ---------------------------------------------------------------------------
+
+
+def test_only_verify_paper_loads_the_battery():
+    # A fresh interpreter, since this one has imported the battery already.
+    code = (
+        "import sys, virfock.cli\n"
+        "assert 'virfock.battery' not in sys.modules\n"
+        "from virfock import run_battery\n"
+        "assert run_battery.__module__ == 'virfock.battery'\n"
+        "ns = {}\n"
+        "exec('from virfock import *', ns)\n"
+        "assert {'CheckResult', 'VerificationReport', 'run_battery'} <= set(ns)\n"
+    )
+    src = os.path.dirname(os.path.dirname(virfock.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_verify_passing_groups_exit_zero(capsys):

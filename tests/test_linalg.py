@@ -4,16 +4,21 @@ reduction on int rows, the same echelon over Q and F_p, so rank and
 SpanBuilder are cross-checked here against a plain field-division oracle,
 and rank, nullspace and det against dense elimination (Bareiss over Q),
 kept here as an oracle, on random sparse matrices, on rationals with large
-numerators and denominators, and on dense Gram matrices."""
+numerators and denominators, and on dense Gram matrices.  nullspace is
+checked under step budgets of 0 and 1 as well as the default, so that
+deferred rows and the kernel of their residual matrix are exercised on
+every case."""
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fp_elements, fractions
+from virfock import linalg
 from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis
 from virfock.linalg import SpanBuilder, det, joint_kernel, nullspace, rank
 from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring
@@ -288,6 +293,16 @@ def dense_nullspace(rows, ring, ncols=None):
     return out
 
 
+def each_budget(compute):
+    """compute() with nullspace's step budget at 0, at 1 and at its default,
+    the results in that order."""
+    out = []
+    for steps in (0, 1, linalg._STEPS):
+        with patch.object(linalg, "_STEPS", steps):
+            out.append(compute())
+    return out
+
+
 def typed(value):
     """A value with the type of every scalar in it, so equal results of
     different scalar types compare unequal."""
@@ -328,14 +343,14 @@ def sparse_matrix_case(draw):
 @given(sparse_matrix_case())
 def test_sparse_elimination_matches_dense_oracle(case):
     ring, rows = case
-    assert typed(nullspace(rows, ring)) == typed(dense_nullspace(rows, ring))
+    assert each_budget(lambda: typed(nullspace(rows, ring))) == [typed(dense_nullspace(rows, ring))] * 3
     assert rank(rows, ring) == dense_rank(rows, ring)
     n = min(len(rows), len(rows[0]))
     square = [row[:n] for row in rows[:n]]
     assert typed(det(square, ring)) == typed(dense_det(square, ring))
 
 
-@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("ring", [QQ, GF(7), GF(3)], ids=["Q", "F7", "F3"])
 @pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2), Fraction(1, 16)], ids=["h0", "h1_2", "h1_16"])
 def test_dense_gram_matrices_match_dense_oracle(h, ring):
     # The dense input rank and det were served by dense elimination before
@@ -347,7 +362,7 @@ def test_dense_gram_matrices_match_dense_oracle(h, ring):
         for k in range(1, len(rows) + 1):
             block = [row[:k] for row in rows[:k]]
             assert rank(block, ring) == dense_rank(block, ring)
-            assert typed(nullspace(block, ring)) == typed(dense_nullspace(block, ring))
+            assert each_budget(lambda: typed(nullspace(block, ring))) == [typed(dense_nullspace(block, ring))] * 3
             assert typed(det(block, ring)) == typed(dense_det(block, ring))
 
 
@@ -379,6 +394,27 @@ def test_certificate_exits_agree_with_the_exact_kernel(rows, kernel_dim):
     basis = nullspace(rows, QQ)
     assert len(basis) == kernel_dim
     assert typed(basis) == typed(dense_nullspace(rows, QQ))
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_deferred_row_with_new_rank(ring):
+    # Pivot rows e_j + j e_{n+1} for j = 1..n, n one more than the budget,
+    # then two rows that need all n of them before reaching column n + 1:
+    # their sum s, which lies in the pivot rows' span, and s + e_{n+1},
+    # which does not.  Both are deferred; the kernel of the pivot rows has
+    # e_0 and e_{n+1} - sum_j j e_j, and the second row rules out the latter.
+    n = linalg._STEPS + 1
+    ncols = n + 2
+    pivot_rows = [{j: 1, n + 1: j} for j in range(1, n + 1)]
+    in_span = {**{j: 1 for j in range(1, n + 1)}, n + 1: n * (n + 1) // 2}
+    new_rank = {**in_span, n + 1: in_span[n + 1] + 1}
+    rows = [[ring.of_int(row.get(j, 0)) for j in range(ncols)] for row in pivot_rows + [in_span, new_rank]]
+    deferred = []
+    linalg._sparse_echelon(linalg._sparse_rows(rows, ring), ring.char, deferred)
+    assert sorted(deferred) == [n, n + 1]
+    basis = nullspace(rows, ring)
+    assert typed(basis) == typed(dense_nullspace(rows, ring))
+    assert basis == [[ring.one()] + [ring.zero()] * (ncols - 1)]
 
 
 def _span_add(rows, ring):
@@ -470,7 +506,7 @@ def test_singular_space_matches_dense_stacking(h, ring, degree):
     maps = [[mod.apply_mode(m, mod.monomial(p)).terms for p in basis] for m in (1, 2)]
     targets = [partitions(degree - m) for m in (1, 2)]
     want = tuple(VermaVector(t).normalized() for t in dense_joint_kernel(basis, maps, targets, ring))
-    assert singular_space(mod, degree).vectors == want
+    assert each_budget(lambda: singular_space(mod, degree).vectors) == [want] * 3
 
 
 @pytest.mark.parametrize(

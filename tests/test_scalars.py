@@ -229,6 +229,15 @@ def test_json_rejects_cross_characteristic():
         scalar_from_json(["1", "2"], QQ)
 
 
+@pytest.mark.parametrize("ring", [QQ, formal_ring(0)], ids=["Q", "Q[h]"])
+@pytest.mark.parametrize("text", ["1 mod 0", "3 mod 0", "3 mod 7"])
+def test_characteristic_zero_rejects_residues(ring, text):
+    # The characteristic of Q is 0, so "k mod 0" once matched it and parsed
+    # as the rational k.
+    with pytest.raises(RingMismatchError):
+        ring.parse(text)
+
+
 def test_parse_accepts_all_string_forms():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.parse("-108") == Fraction(-108)
