@@ -326,17 +326,14 @@ def sector_hw_vector(sector: str, parity: int, ring: Ring = QQ) -> FockVector:
 
 def vir_span_dims(start: FockVector, max_degree: int) -> List[int]:
     """Graded dimensions of the span of all lowering words
-    L(-k_1)...L(-k_j) start, indexed by sector-adjusted degree 0..max_degree.
-
-    Computed by lowering_closure with lower(k, w) = L(-k) w: slices are
-    saturated degree by degree with the generators L(-1)..L(-max_degree),
-    each tracked by the term dicts of the vectors reaching it, so no slice
-    basis is built; deeper words are reached iteratively.
+    L(-k_1)...L(-k_j) start, indexed by sector-adjusted degree 0..max_degree;
+    see lowering_closure.
     """
     if not start:
         raise ValueError("start vector must be nonzero")
-    seeds = [(start.adjusted_degree(), start)]
-    return lowering_closure(seeds, max_degree, start.ring, lambda k, w: apply_virasoro_fock(-k, w))
+    sector, ring = start.sector, start.ring
+    seeds = [(start.adjusted_degree(), start.terms)]
+    return lowering_closure(seeds, max_degree, ring, lambda k, t: apply_virasoro_fock(-k, FockVector(sector, ring, t)).terms)
 
 
 def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[FockVector]:

@@ -32,9 +32,9 @@ residual matrix, found by the same routine.  The basis is exactly the one
 a full echelon gives (see nullspace); rank, det and SpanBuilder reduce
 every row fully.
 
-SpanBuilder and joint_kernel take sparse term dicts {basis key: nonzero
-scalar}, the `terms` of every vector class, so callers never build
-coordinate rows or pass a target basis.
+SpanBuilder, joint_kernel and lowering_closure take and give sparse term
+dicts {basis key: nonzero scalar}, the `terms` of every vector class, so
+linalg never handles a vector class and callers never build coordinate rows.
 """
 
 from __future__ import annotations
@@ -378,7 +378,8 @@ class SpanBuilder:
     mutually ordered (ints, or tuples of ints).  Each row is converted to
     ints and checked against the ring as matrix rows are, then reduced.
     add() keeps a nonzero remainder as a new pivot row and reports whether
-    the span grew; contains() reduces a copy and stores nothing.
+    the span grew; contains() reduces a copy and stores nothing; basis()
+    gives the pivot rows, in the order added, with Fraction or Fp scalars.
     """
 
     def __init__(self, ring: Ring):
@@ -395,32 +396,33 @@ class SpanBuilder:
             _add_pivot(self._pivots, lead[0], lead[1], row, self._p)
         return lead is not None
 
+    def basis(self) -> List[Terms]:
+        scalar = (lambda v: Fp(v, self._p)) if self._p else Fraction
+        return [{c: scalar(a), **{j: scalar(y) for j, y in rest.items()}} for c, (a, rest) in self._pivots.items()]
+
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
 
-def lowering_closure(seeds: Sequence[tuple], max_degree: int, ring: Ring, lower: Callable) -> List[int]:
-    """Graded dimensions, degrees 0..max_degree, of the span of all lowering
-    words L(-k_1)...L(-k_j) applied to homogeneous seed vectors.
+def lowering_closure(seeds: Sequence[Tuple[int, Terms]], max_degree: int, ring: Ring, lower: Callable) -> List[int]:
+    """Graded dimensions, degrees 0..max_degree, of the span S of all
+    lowering words L(-k_1)...L(-k_j) applied to homogeneous seeds, given as
+    (degree, term dict) pairs; lower(k, terms) applies L(-k) to a term dict.
 
-    seeds holds (degree, vector) pairs, and lower(k, w) applies L(-k) to a
-    vector, raising its degree by k.  Each degree keeps a SpanBuilder over
-    the term dicts of the vectors reaching it.  Slices are saturated degree
-    by degree with the generators L(-1)..L(-max_degree); deeper words are
-    reached iteratively.
+    Outside characteristic 2, L(-1) and L(-2) generate every L(-n), as
+    [L(-1), L(-n+1)] = (n-2) L(-n), [L(-2), L(-n+2)] = (n-4) L(-n), and
+    n-2, n-4 are not both 0 mod an odd p.  So S_d = seeds_d + L(-1) S_{d-1}
+    + L(-2) S_{d-2}: each finished slice's SpanBuilder basis is lowered once
+    by L(-1) and once by L(-2).
     """
     spans = [SpanBuilder(ring) for _ in range(max_degree + 1)]
-    slices: List[list] = [[] for _ in range(max_degree + 1)]
-
-    def push(d: int, w) -> None:
-        if w and d <= max_degree and spans[d].add(w.terms):
-            slices[d].append(w)
-
-    for d, w in seeds:
-        push(d, w)
-    for d in range(max_degree + 1):
-        for w in slices[d]:
-            for k in range(1, max_degree - d + 1):
-                push(d + k, lower(k, w))
+    for d, terms in seeds:
+        if d <= max_degree:
+            spans[d].add(terms)
+    for d, span in enumerate(spans):
+        for row in span.basis():
+            for k in (1, 2):
+                if d + k <= max_degree:
+                    spans[d + k].add(lower(k, row))
     return [b.dim for b in spans]

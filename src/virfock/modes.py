@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .lincomb import merge
-from .scalars import Ring, Scalar
+from .scalars import DenominatorDivisibleByP, Ring, Scalar
 from .verma import (
     Partition,
     VermaModule,
@@ -64,7 +64,8 @@ def build_state(word: Sequence[int], ring: Ring = None) -> StateWord:
     """Normal form of L(word[0])...L(word[-1]) applied to the vacuum.
 
     All entries must be negative; the rightmost operator acts first.  A
-    leading L(-1) reaching the bare vacuum yields the zero state.
+    leading L(-1) reaching the bare vacuum yields the zero state.  Over F_p
+    an L(-n) with p dividing (n-2)! raises DenominatorDivisibleByP.
     """
     if ring is None:
         ring = Ring(0)
@@ -81,6 +82,8 @@ def build_state(word: Sequence[int], ring: Ring = None) -> StateWord:
             for t, cv in state.items():
                 merge(new, {t[:i] + (t[i] + 1,) + t[i + 1 :]: cv for i in range(len(t))})
         else:
+            if ring.char and n - 2 >= ring.char:  # p divides (n-2)!
+                raise DenominatorDivisibleByP(f"L({mode}) divides by {n - 2}!, which is 0 mod {ring.char}")
             f = ring.of_int(1) / ring.of_int(math.factorial(n - 2))
             for t, cv in state.items():
                 new[(n - 2,) + t] = cv * f

@@ -162,14 +162,12 @@ def generated_submodule_dims(module, seeds: Sequence[VermaVector], max_degree: i
     """Graded dimensions of the submodule generated by singular seed vectors.
 
     Each seed must be homogeneous and killed by all positive modes, so the
-    submodule is spanned by lowering words applied to seeds.  Computed by
-    lowering_closure with lower(k, w) = L(-k) w: slices are saturated degree
-    by degree with the generators L(-1)..L(-max_degree), each tracked by the
-    term dicts of the vectors reaching it, so no partition basis is built.
+    submodule is spanned by lowering words applied to seeds; see
+    lowering_closure.
     """
     mod = _as_module(module)
     for w in seeds:
         if w and not is_singular(w, mod):
             raise ValueError("seed vectors must be singular")
-    graded_seeds = [(w.degree(), w) for w in seeds if w]
-    return lowering_closure(graded_seeds, max_degree, mod.ring, lambda k, w: mod.apply_mode(-k, w))
+    graded_seeds = [(w.degree(), w.terms) for w in seeds if w]
+    return lowering_closure(graded_seeds, max_degree, mod.ring, lambda k, terms: mod.apply_mode(-k, VermaVector(terms)).terms)

@@ -299,6 +299,23 @@ def test_mode_apply_rejects_bad_words(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (["mode-apply", "--state", "s", "--n", "5", "--char", "3"], "L(-6) divides by 4!"),
+        (["mode-apply", "--state", "[-5]", "--n", "1", "--char", "3"], "L(-5) divides by 3!"),
+        (["mode-apply", "--state", "s", "--n", "5", "--h", "h", "--char", "3"], "L(-6) divides by 4!"),
+    ],
+    ids=["named-state", "state-word", "formal-h"],
+)
+def test_mode_apply_factorial_zero_mod_p_is_an_error(argv, mode, capsys):
+    # L(-n) on a vacuum descendant divides by (n-2)!, which is 0 in F_p
+    # once n >= p + 2.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {mode}, which is 0 mod 3\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mode-apply", "--c", "h", "--h", "h", "--n", "1", "--target", "[-2]"],

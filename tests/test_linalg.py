@@ -7,7 +7,8 @@ kept here as an oracle, on random sparse matrices, on rationals with large
 numerators and denominators, and on dense Gram matrices.  nullspace is
 checked under step budgets of 0 and 1 as well as the default, so that
 deferred rows and the kernel of their residual matrix are exercised on
-every case."""
+every case.  lowering_closure is checked against the closure that applies
+every L(-k) to the stored input vectors, kept here as an oracle."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -19,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fp_elements, fractions
 from virfock import linalg
-from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis
-from virfock.linalg import SpanBuilder, det, joint_kernel, nullspace, rank
+from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis, vir_span_dims
+from virfock.linalg import SpanBuilder, det, joint_kernel, lowering_closure, nullspace, rank
 from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring
 from virfock.singular import singular_space
-from virfock.verma import VermaVector, partitions, verma_module
+from virfock.verma import VermaModule, VermaVector, partitions, verma_module
 
 
 def oracle_rank(rows, ring):
@@ -598,3 +599,121 @@ def test_span_builder_on_sparse_rank_deficient_rows(case):
     for r in probes:
         assert sb.contains(_terms(r, ring, keys)) == (oracle_rank(rows + [r], ring) == oracle_rank(rows, ring))
     assert sb.dim == oracle_rank(rows, ring)
+
+
+@given(sparse_span_case())
+def test_span_builder_basis_spans_what_was_added(case):
+    ring, rows, _, keys = case
+    sb = SpanBuilder(ring)
+    for row in rows:
+        sb.add(_terms(row, ring, keys))
+    basis = sb.basis()
+    assert len(basis) == sb.dim
+    kind = Fp if ring.char else Fraction
+    assert all(type(x) is kind and x for row in basis for x in row.values())
+    assert all(sb.contains(row) for row in basis)
+    fresh = SpanBuilder(ring)
+    assert all(fresh.add(row) for row in basis)
+    assert fresh.dim == sb.dim
+    for row in rows:
+        assert fresh.contains(_terms(row, ring, keys))
+
+
+def test_span_builder_basis_keeps_leads_other_than_one_over_q():
+    # Over Q a pivot row is divided by its content, not by its lead:
+    # 4 e_0 + 6 e_1 is kept as 2 e_0 + 3 e_1, and e_0 / 3 + e_2 / 2, times 6
+    # and reduced by it, as -3 e_1 + 3 e_2 divided by -3.
+    sb = SpanBuilder(QQ)
+    sb.add({0: Fraction(4), 1: Fraction(6)})
+    sb.add({0: Fraction(1, 3), 2: Fraction(1, 2)})
+    assert sb.basis() == [{0: Fraction(2), 1: Fraction(3)}, {1: Fraction(1), 2: Fraction(-1)}]
+    single = SpanBuilder(QQ)
+    single.add({0: Fraction(3), 1: Fraction(1, 2)})
+    assert single.basis() == [{0: Fraction(6), 1: Fraction(1)}]
+
+
+# ----------------------------------------------------- lowering_closure
+
+def all_k_closure(seeds, max_degree, ring, lower):
+    """Oracle: every slice saturated with L(-1)..L(-(max_degree - d)), each
+    applied to the stored input term dicts that grew the slice.  It needs
+    no generation argument, only that the span of all lowering words is
+    reached degree by degree."""
+    spans = [SpanBuilder(ring) for _ in range(max_degree + 1)]
+    slices = [[] for _ in range(max_degree + 1)]
+
+    def push(d, terms):
+        if terms and d <= max_degree and spans[d].add(terms):
+            slices[d].append(terms)
+
+    for d, terms in seeds:
+        push(d, terms)
+    for d in range(max_degree + 1):
+        for terms in slices[d]:
+            for k in range(1, max_degree - d + 1):
+                push(d + k, lower(k, terms))
+    return [b.dim for b in spans]
+
+
+CLOSURE_RINGS = [QQ, GF(3), GF(5), GF(7)]
+
+
+def _ring_entries(ring):
+    return fractions(max_num=5, max_den=3) if ring.char == 0 else fp_elements(ring.char)
+
+
+def _random_terms(draw, keys, ring):
+    """A term dict with a nonzero coefficient on one of keys and random
+    coefficients on some of the others."""
+    entries = _ring_entries(ring).map(ring.coerce)
+    terms = {k: draw(entries) for k in keys if draw(st.booleans())}
+    terms[draw(st.sampled_from(keys))] = draw(entries.filter(bool))
+    return {k: x for k, x in terms.items() if x}
+
+
+@st.composite
+def verma_closure_case(draw):
+    """A Verma module with random c and h, and one to three homogeneous
+    seeds of degree at most 5 with random coefficients."""
+    ring = draw(st.sampled_from(CLOSURE_RINGS))
+    c, h = (ring.coerce(draw(_ring_entries(ring))) for _ in range(2))
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 5))
+        seeds.append((d, _random_terms(draw, partitions(d), ring)))
+    return VermaModule(c, h, ring), seeds
+
+
+@st.composite
+def fock_closure_case(draw):
+    """A homogeneous, parity-pure Fock start vector of degree at most 4 in
+    either sector, with random coefficients."""
+    ring = draw(st.sampled_from(CLOSURE_RINGS))
+    sector = draw(st.sampled_from([NS, RAMOND]))
+    parity = draw(st.integers(0, 1))
+    degree = draw(st.integers(0, 4))
+    keys = list(sector_basis(sector, parity, degree))
+    if not keys:
+        keys = list(sector_basis(sector, parity, degree + 1))
+    return FockVector(sector, ring, _random_terms(draw, keys, ring))
+
+
+@given(verma_closure_case())
+def test_lowering_closure_matches_all_k_oracle_on_verma_seeds(case):
+    mod, seeds = case
+
+    def lower(k, terms):
+        return mod.apply_mode(-k, VermaVector(terms)).terms
+
+    assert lowering_closure(seeds, 10, mod.ring, lower) == all_k_closure(seeds, 10, mod.ring, lower)
+
+
+@given(fock_closure_case())
+def test_vir_span_matches_all_k_oracle_on_fock_starts(start):
+    sector, ring = start.sector, start.ring
+
+    def lower(k, terms):
+        return apply_virasoro_fock(-k, FockVector(sector, ring, terms)).terms
+
+    want = all_k_closure([(start.adjusted_degree(), start.terms)], 10, ring, lower)
+    assert vir_span_dims(start, 10) == want

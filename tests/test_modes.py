@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from virfock.lincomb import merge
-from virfock.scalars import GF, QQ, Poly, formal_ring
+from virfock.scalars import GF, QQ, DenominatorDivisibleByP, Poly, formal_ring
 from virfock.verma import VermaVector, verma_module
 from virfock.modes import (
     build_state,
@@ -67,6 +67,21 @@ def test_build_state_rejects_bad_words():
         build_state([-2, 0])
     with pytest.raises(ValueError, match="negative"):
         build_state([3, -2])
+
+
+@pytest.mark.parametrize("ring", [GF(3), formal_ring(3), GF(5)])
+def test_build_state_rejects_factorial_zero_mod_p(ring):
+    p = ring.char
+    # (n-2)! is a unit mod p up to n = p + 1 and 0 from n = p + 2 on.
+    assert build_state([-(p + 1)], ring) == {(p - 1,): ring.one() / ring.of_int(math.factorial(p - 1))}
+    with pytest.raises(DenominatorDivisibleByP, match=rf"L\(-{p + 2}\) divides by {p}!, which is 0 mod {p}"):
+        build_state([-2, -(p + 2)], ring)
+
+
+def test_named_state_s_needs_four_factorial_invertible():
+    with pytest.raises(DenominatorDivisibleByP, match=r"L\(-6\) divides by 4!, which is 0 mod 3"):
+        named_state("s", GF(3))
+    assert named_state("u", GF(3)) == {(0, 0): GF(3).one(), (2,): -GF(3).one()}
 
 
 def test_named_states():
