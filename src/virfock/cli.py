@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -361,9 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """argv with a value such as -1/5 that follows --c or --h joined to it,
+    as --h=-1/5: argparse reads a token that starts with '-' and is not a
+    plain negative number as an option, not as the preceding option's value.
+    No option name starts with '-' and a digit."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--c", "--h") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    cfg = parser.parse_args(argv)
+    cfg = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if getattr(cfg, "degree", 0) < 0 or getattr(cfg, "max_degree", 0) < 0:
             raise ValueError("degree bounds must be nonnegative")

@@ -128,7 +128,7 @@ def radical_basis(module, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
     mod = _as_module(module)
     g = mod.gram_matrix(degree)
-    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.rows(), mod.ring)]
+    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.scaled_rows(), mod.ring)]
 
 
 def irreducible_dims(module, max_degree: int) -> CharacterTable:
@@ -138,8 +138,7 @@ def irreducible_dims(module, max_degree: int) -> CharacterTable:
         raise ValueError("irreducible dimensions need a field, not a formal ring")
     rows = []
     for n in range(max_degree + 1):
-        g = mod.gram_matrix(n)
-        r = rank(g.rows(), mod.ring)
+        r = rank(mod.gram_matrix(n).scaled_rows(), mod.ring)
         rows.append(CharRow(n, verma_dim(n), verma_dim(n) - r, r))
     return CharacterTable(mod.params, tuple(rows))
 

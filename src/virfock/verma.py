@@ -11,7 +11,10 @@ straightening (commuting positive modes to the right until they hit the
 highest weight vector) and memoized per module on (mode, partition) pairs,
 so singular-vector and Gram computations share all straightening work.
 Gram matrices are built from that memo by the adjointness recurrence over
-degrees and cached per module, each degree once.
+degrees and cached per module, each degree once.  The recurrence runs on
+plain ints: a GramMatrix holds integer rows over one common denominator
+over Q and residues over F_p (Poly entries over a formal ring), and its
+Fraction, Fp or Poly entries are a view built when read.
 
 Every computation here is pure: vectors are immutable maps from partitions
 to scalars, and independent degrees may be processed in any order.
@@ -20,13 +23,18 @@ to scalars, and independent degrees may be processed in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
+from .linalg import _entries
 from .lincomb import LinComb, merge
 from .scalars import (
     Fp,
+    Poly,
     Ring,
+    RingMismatchError,
     Scalar,
     central_coeff,
     scalar_from_json,
@@ -124,20 +132,73 @@ class GramMatrix:
     entries[i][j] = <L(-basis[i]) v, L(-basis[j]) v>, where the form is the
     unique symmetric bilinear form with <v, v> = 1 for which L(n) and L(-n)
     are adjoint.
+
+    The values are stored as G = num / den, in the canonical form of Poly:
+    over Q, num holds integer rows over one positive common denominator den
+    that shares no factor with all of them; over F_p, residues in [0, p)
+    with den 1; over a formal ring, the Poly entries themselves with den 1.
+    An all-zero matrix has den 1.  entries and rows() are derived views that
+    build the Fraction, Fp or Poly values when they are read; scaled_rows()
+    gives den * G in the form linalg accepts, which has the same rank and
+    kernel.
     """
 
     degree: int
     basis: Tuple[Partition, ...]
-    entries: Tuple[Tuple[Scalar, ...], ...]
+    num: Tuple[tuple, ...]
+    den: int
+    ring: Ring
+
+    @property
+    def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        if self.ring.formal:
+            return self.num
+        p = self.ring.char
+        if p:
+            return tuple(tuple(Fp(v, p) for v in row) for row in self.num)
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
     def rows(self) -> List[List[Scalar]]:
         return [list(r) for r in self.entries]
 
+    def scaled_rows(self) -> List[list]:
+        """den * G as rows for linalg: ints over Q, Fp values over F_p (one
+        object per residue that occurs), the Poly entries over a formal ring."""
+        p = self.ring.char
+        if p and not self.ring.formal:
+            residues = {v: Fp(v, p) for row in self.num for v in row}
+            return [[residues[v] for v in row] for row in self.num]
+        return [list(row) for row in self.num]
+
     def in_radical(self, vec: VermaVector) -> bool:
         """True when vec, a vector of this degree, pairs to zero with every
-        basis monomial, i.e. lies in the radical of the form."""
-        support = [(j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms]
-        return not any(sum(row[j] * cv for j, cv in support) for row in self.entries)
+        basis monomial, i.e. lies in the radical of the form.  Raises
+        RingMismatchError when a coefficient of vec is not in the ring."""
+        support = ((j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms)
+        xs = _numerators(support, self.ring)[1].items()
+        p = 0 if self.ring.formal else self.ring.char
+        for row in self.num:
+            s = sum([row[j] * x for j, x in xs])
+            if s % p if p else s:
+                return False
+        return True
+
+
+def _numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[int, dict]:
+    """(d, {key: numerator}) for the nonzero scalars among (key, scalar)
+    pairs, each equal to its numerator / d: linalg's int form over a field
+    (ints over the lcm d of the denominators over Q, residues with d = 1
+    over F_p), the Poly values themselves with d = 1 over a formal ring.
+    Raises RingMismatchError on a scalar of another ring."""
+    if not ring.formal:
+        return _entries(items, ring.char)
+    out = {}
+    for key, x in items:
+        if not isinstance(x, Poly) or x.char != ring.char:
+            raise RingMismatchError(f"{x!r} is not a polynomial over characteristic {ring.char}")
+        if x:
+            out[key] = x
+    return 1, out
 
 
 class VermaModule:
@@ -149,13 +210,9 @@ class VermaModule:
         self.ring = ring
         self.c = ring.coerce(c)
         self.h = ring.coerce(h)
-        self._zero = ring.zero()
         self._one = ring.one()
         self._memo: Dict[Tuple[int, Partition], Dict[Partition, Scalar]] = {}
         self._gram: Dict[int, GramMatrix] = {}
-        # Over F_p, one shared Gram-entry object per residue met so far (a
-        # dict, not a list of all p, so a large prime costs nothing upfront).
-        self._residues: Dict[int, Fp] | None = None if ring.formal or not ring.char else {}
 
     @property
     def params(self) -> ModuleParams:
@@ -248,32 +305,58 @@ class VermaModule:
         symmetry, and the entrywise definition, independently.
         """
         if degree < 0:
-            return GramMatrix(degree, (), ())
+            return GramMatrix(degree, (), (), 1, self.ring)
         for n in range(len(self._gram), degree + 1):
             self._gram[n] = self._gram_from_lower(n)
         return self._gram[degree]
 
     def _gram_from_lower(self, n: int) -> GramMatrix:
-        """Degree-n Gram matrix from the cached slices of degree below n."""
+        """Degree-n Gram matrix from the cached slices of degree below n.
+
+        Entry (lambda, mu) with lambda = (k, lambda') is the dot product of
+        the lower slice's row lambda', num / den, with the column
+        L(k) L(-mu) v, split once into numerators over its own denominator
+        d.  Every column is rescaled to one slice denominator, the lcm of
+        the products den * d, so each entry is one int dot product: reduced
+        mod p over F_p, and over Q the content shared by that denominator and
+        all entries is divided out at the end.  Over a formal ring every
+        denominator is 1.
+        """
         basis = partitions(n)
+        ring = self.ring
         if not n:
-            return GramMatrix(0, basis, ((self._one,),))
-        zero, residues = self._zero, self._residues
-        rows: List[List[Scalar]] = [[] for _ in basis]
-        i = 0
+            return GramMatrix(0, basis, ((ring.one() if ring.formal else 1,),), 1, ring)
         # Rows with first part k form one contiguous block of the basis.
+        blocks = []
+        den = 1
         for k in range(n, 0, -1):
             lower = self._gram[n - k]
             index = {nu: j for j, nu in enumerate(lower.basis)}
-            block = [(rows[i + r], lower.entries[index[rest]])
-                     for r, rest in enumerate(partitions(n - k, k))]
+            cols = []
             for mu in basis:
-                pairs = [(index[nu], cv) for nu, cv in self._act(k, mu).items()]
-                for out, low in block:
-                    entry = sum([low[j] * cv for j, cv in pairs], zero)
-                    out.append(entry if residues is None else residues.setdefault(entry.v, entry))
-            i += len(block)
-        return GramMatrix(n, basis, tuple(map(tuple, rows)))
+                d, nums = _numerators(self._act(k, mu).items(), ring)
+                cols.append((d * lower.den, [(index[nu], x) for nu, x in nums.items()]))
+                den = lcm(den, d * lower.den)
+            blocks.append((k, lower, index, cols))
+        zero = ring.zero() if ring.formal else 0
+        p = 0 if ring.formal else ring.char
+        rows = []
+        for k, lower, index, cols in blocks:
+            cols = [col if d == den else [(j, x * (den // d)) for j, x in col] for d, col in cols]
+            for rest in partitions(n - k, k):
+                low = lower.num[index[rest]]
+                dots = [sum([low[j] * x for j, x in col], zero) for col in cols]
+                rows.append(tuple([x % p for x in dots]) if p else tuple(dots))
+        if ring.formal or p:
+            return GramMatrix(n, basis, tuple(rows), 1, ring)
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g != 1:
+            rows = [tuple([x // g for x in row]) for row in rows]
+        return GramMatrix(n, basis, tuple(rows), den // g, ring)
 
     def project_vacuum_module(self, vec: VermaVector) -> VermaVector:
         """Image in the quotient by the submodule generated by L(-1) v.

@@ -364,6 +364,53 @@ def test_residue_over_q_is_rejected(argv, capsys):
     assert err == "error: scalar mod 0 in a ring of characteristic 0, which has no residues\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singvec", "--h", "-1/5", "--degree", "2"],
+        ["irrdims", "--c", "-22/5", "--h", "-1/5", "--max", "4"],
+        ["irrdims", "--c", "-22/5", "--h", "-1/5", "--char", "7", "--max", "4", "--format", "csv"],
+        ["mode-apply", "--c", "-22/5", "--h", "-1/5", "--n", "-1", "--target", "[-1]"],
+    ],
+    ids=["singvec-h", "irrdims-c-h", "irrdims-char7-csv", "mode-apply"],
+)
+def test_negative_fraction_may_follow_its_option(argv, capsys):
+    # argparse alone reads -1/5 as an unknown option, not as the value of --h.
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--c", "--h"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(joined, capsys)
+
+
+def test_lee_yang_point_has_a_degree_two_singular_vector(capsys):
+    code, out, _ = run_cli(["singvec", "--c", "-22/5", "--h", "-1/5", "--degree", "2"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["c"] == "-22/5" and data["h"] == "-1/5"
+    assert len(data["vectors"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singvec", "--h", "--degree", "2"],
+        ["irrdims", "--c", "--h", "-1/5"],
+        ["singvec", "--h"],
+    ],
+    ids=["h-before-option", "c-before-option", "h-last"],
+)
+def test_option_without_value_is_still_an_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 and contravariant Gram matrices, over Q, F_p, and with formal weight."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from conftest import fractions
+from conftest import ODD_PRIMES, fractions
 from virfock.linalg import det
-from virfock.scalars import GF, QQ, DenominatorDivisibleByP, central_coeff, formal_ring
+from virfock.scalars import GF, QQ, DenominatorDivisibleByP, Fp, RingMismatchError, central_coeff, formal_ring
+from virfock.singular import radical_basis
 from virfock.verma import VermaModule, VermaVector, partitions, verma_dim, verma_module
 
 SAMPLE_PARAMS = [
@@ -190,6 +191,80 @@ def test_gram_recurrence_matches_entrywise_definition(c, h, ring):
         want = _entrywise_gram(oracle, n)
         assert got == want
         assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
+
+
+FIELDS = [QQ] + [GF(p) for p in ODD_PRIMES]
+
+
+@st.composite
+def field_params(draw):
+    """A field and (c, h) in it: rationals with denominators up to 50,
+    reduced mod p when p divides neither denominator."""
+    ring = draw(st.sampled_from(FIELDS))
+    c, h = draw(fractions(max_num=200, max_den=50)), draw(fractions(max_num=200, max_den=50))
+    try:
+        return ring, ring.coerce(c), ring.coerce(h)
+    except DenominatorDivisibleByP:
+        assume(False)
+
+
+@given(params=field_params())
+def test_int_gram_recurrence_matches_entrywise_definition(params):
+    ring, c, h = params
+    mod = VermaModule(c, h, ring)
+    oracle = VermaModule(c, h, ring)
+    for n in range(8):
+        gram = mod.gram_matrix(n)
+        got, want = gram.entries, _entrywise_gram(oracle, n)
+        assert got == want
+        assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
+        # The canonical int form: one positive denominator sharing no factor
+        # with every numerator over Q, residues over den 1 over F_p.
+        values = [v for row in gram.num for v in row]
+        assert all(type(v) is int for v in values)
+        if ring.char:
+            assert gram.den == 1 and all(0 <= v < ring.char for v in values)
+        else:
+            assert gram.den > 0 and gcd(gram.den, *values) == 1
+
+
+KAC_POINTS = [
+    (Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 16)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(-22, 5), Fraction(-1, 5)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: f"F{r.char}" if r.char else "Q")
+@given(point=st.sampled_from(KAC_POINTS), data=st.data())
+def test_in_radical_matches_the_scalar_pairing(ring, point, data):
+    c, h = point
+    try:
+        mod = VermaModule(c, h, ring)
+    except DenominatorDivisibleByP:
+        assume(False)
+    ints = st.integers(min_value=-3, max_value=3)
+    alien = Fp(1, 7) if ring.char != 7 else Fp(1, 5)
+    for n in range(7):
+        gram = mod.gram_matrix(n)
+        basis = partitions(n)
+        radical = radical_basis(mod, n)
+        assert all(gram.in_radical(r) for r in radical)
+        # A combination of radical vectors, plus a random vector or nothing.
+        vec = VermaVector.zero()
+        for r in radical:
+            vec = vec + r.scale(ring.of_int(data.draw(ints)))
+        if data.draw(st.booleans()):
+            rand = {p: ring.of_int(data.draw(ints)) for p in basis}
+            vec = vec + VermaVector({p: x for p, x in rand.items() if x})
+        coords = [vec.terms.get(p, ring.zero()) for p in basis]
+        want = not any(sum((g * x for g, x in zip(row, coords)), ring.zero()) for row in gram.entries)
+        assert gram.in_radical(vec) is want
+        for other in (alien, Fraction(1, 2)) if ring.char else (alien,):
+            with pytest.raises(RingMismatchError):
+                gram.in_radical(VermaVector({**vec.terms, basis[-1]: other}))
 
 
 def test_gram_requested_first_at_degree_ten_matches_upward_fill():
