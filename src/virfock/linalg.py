@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and F_p.
 
 Every entry point first turns its rows into sparse {key: int} dicts without
-zero entries, which also rejects scalars of another ring: over F_p the
-entries are residues in [0, p), over Q each row is multiplied by the lcm of
-its denominators.  Scaling a row by a nonzero rational changes neither the
-row space nor the kernel, so Fractions appear only where a result is
-built: in nullspace's output vectors and in det's quotient.
+zero entries through the codec in `scalars`, whose `numerators` also
+rejects scalars of another ring: over F_p the entries are residues in
+[0, p), over Q each row is multiplied by the lcm of its denominators.
+Scaling a row by a nonzero rational changes neither the row space nor the
+kernel, so scalars are built again, by `field_value`, only where a result
+is returned: nullspace's vectors, det's quotient and SpanBuilder's basis.
 
 There is one sparse reduction loop, `_reduce`, the same over both fields.
 A row is reduced against the pivot rows by its smallest key until it is
@@ -39,13 +40,12 @@ linalg never handles a vector class and callers never build coordinate rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from math import gcd, prod
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .lincomb import Terms
-from .scalars import Fp, Ring, RingMismatchError, Scalar
+from .scalars import Ring, RingMismatchError, Scalar, field_value, numerators
 
 SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
 Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
@@ -66,33 +66,10 @@ def _field_char(ring: Ring) -> int:
     return ring.char
 
 
-def _entries(items: Iterable[Tuple[Hashable, Scalar]], p: int) -> Tuple[int, SparseRow]:
-    """(den, row): the (key, scalar) pairs times den as a {key: int} dict
-    without zero entries.  Over F_p (p > 0) den is 1 and the entries are
-    residues; over Q (p = 0) den is the lcm of the denominators.  Raises
-    RingMismatchError on a scalar of another ring."""
-    d = {}
-    if p:
-        for j, x in items:
-            if not isinstance(x, Fp) or x.p != p:
-                raise RingMismatchError(f"{x!r} is not an element of F_{p}")
-            if x.v:
-                d[j] = x.v
-        return 1, d
-    den = 1
-    for j, x in items:
-        if not isinstance(x, (int, Fraction)):
-            raise RingMismatchError(f"{x!r} is not a rational number")
-        if x:
-            d[j] = x
-            den = lcm(den, x.denominator)
-    return den, {j: x.numerator * (den // x.denominator) for j, x in d.items()}
-
-
 def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
     """Dense rows or {column: scalar} dicts as {column: int} dicts."""
-    p = _field_char(ring)
-    return [_entries(row.items() if isinstance(row, dict) else enumerate(row), p)[1] for row in rows]
+    _field_char(ring)
+    return [numerators(row.items() if isinstance(row, dict) else enumerate(row), ring)[1] for row in rows]
 
 
 def _reduce(
@@ -319,7 +296,7 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
     for den, x in _kernel(_sparse_rows(rows, ring), ncols, p):
         vec = [zero] * ncols
         for j, v in x.items():
-            vec[j] = Fp(v, p) if p else Fraction(v, den)
+            vec[j] = field_value(v, den, p)
         out.append(vec)
     return out
 
@@ -359,7 +336,7 @@ def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
     if n == 0:
         return ring.one()
     p = _field_char(ring)
-    scaled = [_entries(enumerate(row), p) for row in rows]
+    scaled = [numerators(enumerate(row), ring) for row in rows]
     leads = _sparse_echelon([row for _, row in scaled], p)[1]
     if len(leads) < n:
         return ring.zero()
@@ -369,7 +346,7 @@ def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
     for _, _, f, m in leads:
         num *= f
         den *= m
-    return Fp(num * pow(den, -1, p), p) if p else Fraction(num, den)
+    return field_value(num, den, p)
 
 
 class SpanBuilder:
@@ -383,22 +360,23 @@ class SpanBuilder:
     """
 
     def __init__(self, ring: Ring):
+        self._ring = ring
         self._p = _field_char(ring)
         self._pivots: Pivots = {}
 
     def contains(self, terms: Terms) -> bool:
-        return _reduce(_entries(terms.items(), self._p)[1], self._pivots, self._p) is None
+        return _reduce(numerators(terms.items(), self._ring)[1], self._pivots, self._p) is None
 
     def add(self, terms: Terms) -> bool:
-        row = _entries(terms.items(), self._p)[1]
+        row = numerators(terms.items(), self._ring)[1]
         lead = _reduce(row, self._pivots, self._p)
         if lead is not None:
             _add_pivot(self._pivots, lead[0], lead[1], row, self._p)
         return lead is not None
 
     def basis(self) -> List[Terms]:
-        scalar = (lambda v: Fp(v, self._p)) if self._p else Fraction
-        return [{c: scalar(a), **{j: scalar(y) for j, y in rest.items()}} for c, (a, rest) in self._pivots.items()]
+        p = self._p
+        return [{j: field_value(y, 1, p) for j, y in ((c, a), *rest.items())} for c, (a, rest) in self._pivots.items()]
 
     @property
     def dim(self) -> int:

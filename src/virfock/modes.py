@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .lincomb import merge
-from .scalars import DenominatorDivisibleByP, Ring, Scalar
+from .scalars import QQ, DenominatorDivisibleByP, Ring, Scalar
 from .verma import (
     Partition,
     VermaModule,
@@ -60,15 +60,13 @@ def state_degree(state: StateWord) -> int:
     return degs.pop()
 
 
-def build_state(word: Sequence[int], ring: Ring = None) -> StateWord:
+def build_state(word: Sequence[int], ring: Ring = QQ) -> StateWord:
     """Normal form of L(word[0])...L(word[-1]) applied to the vacuum.
 
     All entries must be negative; the rightmost operator acts first.  A
     leading L(-1) reaching the bare vacuum yields the zero state.  Over F_p
     an L(-n) with p dividing (n-2)! raises DenominatorDivisibleByP.
     """
-    if ring is None:
-        ring = Ring(0)
     if not word:
         raise ValueError("empty mode word")
     if any(m >= 0 for m in word):
@@ -91,15 +89,13 @@ def build_state(word: Sequence[int], ring: Ring = None) -> StateWord:
     return state
 
 
-def named_state(name: str, ring: Ring = None) -> StateWord:
+def named_state(name: str, ring: Ring = QQ) -> StateWord:
     """The named states driving the c = 1/2 story.
 
     "s" is the degree-6 combination 64 L(-2)^3 + 93 L(-3)^2
     - 264 L(-4)L(-2) - 108 L(-6) of vacuum descendants; "u" is the degree-4
     combination L(-2)^2 - 2 L(-4).
     """
-    if ring is None:
-        ring = Ring(0)
     out: StateWord = {}
     for coeff, word in named_state_pbw(name):
         merge(out, build_state(word, ring), ring.of_int(coeff))

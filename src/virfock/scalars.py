@@ -13,6 +13,12 @@ upstream never branches on the coefficient ring:
   convolution and gcd normalization; ``Poly.coeffs`` is a derived view that
   builds the Fraction or Fp coefficients when they are read.
 
+The same int form serves the Gram slices and linear algebra.  One codec
+converts between it and scalars: ``numerators`` splits (key, scalar) pairs
+into ints over one denominator (the Poly values themselves over a formal
+ring) and rejects a scalar of another ring, and ``field_value`` builds the
+Fraction or Fp for an int numerator over a denominator.
+
 A ``Ring`` value describes which carrier is in play.  Characteristic 2 is
 rejected everywhere because 2 must stay invertible for the central term
 (m^3 - m)/12 and for the fermionic normal ordering constants.
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple, Union
+from typing import Hashable, Iterable, Tuple, Union
 
 
 class CharacteristicTwoError(ValueError):
@@ -160,9 +166,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        if self.char:
-            return tuple(Fp(v, self.char) for v in self.num)
-        return tuple(Fraction(v, self.den) for v in self.num)
+        return tuple(field_value(v, self.den, self.char) for v in self.num)
 
     def _lift(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -263,7 +267,7 @@ class Poly:
 
     def eval(self, x):
         """Evaluate at x by Horner's rule; x must live in the base field."""
-        acc = _base_zero(self.char)
+        acc = field_value(0, 1, self.char)
         for cv in reversed(self.coeffs):
             acc = acc * x + cv
         return acc
@@ -296,10 +300,6 @@ def _reduced(char: int, num: list, den: int) -> Poly:
 Scalar = Union[Fraction, Fp, Poly]
 
 
-def _base_zero(char: int):
-    return Fraction(0) if char == 0 else Fp(0, char)
-
-
 def _base_parts(x, char: int) -> Tuple[int, int]:
     """A base scalar as ints: over Q its numerator and positive denominator
     in lowest terms, over F_p its residue in [0, p) and 1.
@@ -330,9 +330,17 @@ def _base_parts(x, char: int) -> Tuple[int, int]:
 def _base_coerce(x, char: int):
     """x as a base-field element: a Fraction over Q, an Fp over F_p."""
     n, d = _base_parts(x, char)
+    return field_value(n, d, char)
+
+
+def field_value(n: int, den: int, char: int):
+    """n / den as a base-field element: a Fraction over Q (char 0), an Fp
+    over F_p (char the prime p, den a unit mod p).  This is the one place
+    that builds a Fraction or Fp from an int numerator; den == 1, the only
+    case over F_p in the int form, skips the gcd and the inverse."""
     if char:
-        return Fp(n, char)
-    return Fraction(n) if d == 1 else Fraction(n, d)
+        return Fp(n if den == 1 else n * pow(den, -1, char), char)
+    return Fraction(n) if den == 1 else Fraction(n, den)
 
 
 @dataclass(frozen=True)
@@ -359,7 +367,7 @@ class Ring:
     def zero(self) -> Scalar:
         if self.formal:
             return Poly((), self.char)
-        return _base_zero(self.char)
+        return field_value(0, 1, self.char)
 
     def one(self) -> Scalar:
         return self.of_int(1)
@@ -399,6 +407,43 @@ class Ring:
 
 
 QQ = Ring(0)
+
+
+def numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[int, dict]:
+    """(den, {key: numerator}) for the nonzero scalars among (key, scalar)
+    pairs, each equal to field_value(numerator, den, ring.char) over a
+    field: over Q ints over the lcm den of the denominators, over F_p
+    residues in [0, p) with den 1.  Over a formal ring the numerators are
+    the Poly values themselves, with den 1.
+
+    Unlike _base_parts this coerces nothing: an int or Fraction over F_p,
+    an Fp over Q or mod another prime, or a base scalar over a formal ring
+    raises RingMismatchError.
+    """
+    p = ring.char
+    d = {}
+    if ring.formal:
+        for j, x in items:
+            if not isinstance(x, Poly) or x.char != p:
+                raise RingMismatchError(f"{x!r} is not a polynomial over characteristic {p}")
+            if x:
+                d[j] = x
+        return 1, d
+    if p:
+        for j, x in items:
+            if not isinstance(x, Fp) or x.p != p:
+                raise RingMismatchError(f"{x!r} is not an element of F_{p}")
+            if x.v:
+                d[j] = x.v
+        return 1, d
+    den = 1
+    for j, x in items:
+        if not isinstance(x, (int, Fraction)):
+            raise RingMismatchError(f"{x!r} is not a rational number")
+        if x:
+            d[j] = x
+            den = lcm(den, x.denominator)
+    return den, {j: x.numerator * (den // x.denominator) for j, x in d.items()}
 
 
 def GF(p: int) -> Ring:
@@ -446,11 +491,10 @@ def scalar_to_str(x: Scalar) -> str:
     if isinstance(x, Fp):
         return f"{x.v} mod {x.p}"
     if isinstance(x, Poly):
-        if not x.coeffs:
+        if not x.num:
             return "0"
         parts = []
-        for i in range(len(x.coeffs) - 1, -1, -1):
-            cv = x.coeffs[i]
+        for i, cv in reversed(list(enumerate(x.coeffs))):
             if not cv:
                 continue
             cs = str(cv.v) if isinstance(cv, Fp) else str(cv)

@@ -14,7 +14,9 @@ Gram matrices are built from that memo by the adjointness recurrence over
 degrees and cached per module, each degree once.  The recurrence runs on
 plain ints: a GramMatrix holds integer rows over one common denominator
 over Q and residues over F_p (Poly entries over a formal ring), and its
-Fraction, Fp or Poly entries are a view built when read.
+Fraction, Fp or Poly entries are a view built when read.  The int form is
+that of the codec in `scalars`: `numerators` splits each straightened
+column into it, and `field_value` builds the entries back.
 
 Every computation here is pure: vectors are immutable maps from partitions
 to scalars, and independent degrees may be processed in any order.
@@ -23,20 +25,18 @@ to scalars, and independent degrees may be processed in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .linalg import _entries
 from .lincomb import LinComb, merge
 from .scalars import (
-    Fp,
-    Poly,
+    QQ,
     Ring,
-    RingMismatchError,
     Scalar,
     central_coeff,
+    field_value,
+    numerators,
     scalar_from_json,
     scalar_to_json,
 )
@@ -154,9 +154,7 @@ class GramMatrix:
         if self.ring.formal:
             return self.num
         p = self.ring.char
-        if p:
-            return tuple(tuple(Fp(v, p) for v in row) for row in self.num)
-        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
+        return tuple(tuple(field_value(v, self.den, p) for v in row) for row in self.num)
 
     def rows(self) -> List[List[Scalar]]:
         return [list(r) for r in self.entries]
@@ -166,7 +164,7 @@ class GramMatrix:
         object per residue that occurs), the Poly entries over a formal ring."""
         p = self.ring.char
         if p and not self.ring.formal:
-            residues = {v: Fp(v, p) for row in self.num for v in row}
+            residues = {v: field_value(v, 1, p) for v in set().union(*self.num)}
             return [[residues[v] for v in row] for row in self.num]
         return [list(row) for row in self.num]
 
@@ -175,7 +173,7 @@ class GramMatrix:
         basis monomial, i.e. lies in the radical of the form.  Raises
         RingMismatchError when a coefficient of vec is not in the ring."""
         support = ((j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms)
-        xs = _numerators(support, self.ring)[1].items()
+        xs = numerators(support, self.ring)[1].items()
         p = 0 if self.ring.formal else self.ring.char
         for row in self.num:
             s = sum([row[j] * x for j, x in xs])
@@ -184,29 +182,10 @@ class GramMatrix:
         return True
 
 
-def _numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[int, dict]:
-    """(d, {key: numerator}) for the nonzero scalars among (key, scalar)
-    pairs, each equal to its numerator / d: linalg's int form over a field
-    (ints over the lcm d of the denominators over Q, residues with d = 1
-    over F_p), the Poly values themselves with d = 1 over a formal ring.
-    Raises RingMismatchError on a scalar of another ring."""
-    if not ring.formal:
-        return _entries(items, ring.char)
-    out = {}
-    for key, x in items:
-        if not isinstance(x, Poly) or x.char != ring.char:
-            raise RingMismatchError(f"{x!r} is not a polynomial over characteristic {ring.char}")
-        if x:
-            out[key] = x
-    return 1, out
-
-
 class VermaModule:
     """A Verma module V(c, h) with a memoized straightening action."""
 
-    def __init__(self, c, h, ring: Ring = None):
-        if ring is None:
-            ring = Ring(0)
+    def __init__(self, c, h, ring: Ring = QQ):
         self.ring = ring
         self.c = ring.coerce(c)
         self.h = ring.coerce(h)
@@ -334,7 +313,7 @@ class VermaModule:
             index = {nu: j for j, nu in enumerate(lower.basis)}
             cols = []
             for mu in basis:
-                d, nums = _numerators(self._act(k, mu).items(), ring)
+                d, nums = numerators(self._act(k, mu).items(), ring)
                 cols.append((d * lower.den, [(index[nu], x) for nu, x in nums.items()]))
                 den = lcm(den, d * lower.den)
             blocks.append((k, lower, index, cols))
@@ -373,11 +352,9 @@ class VermaModule:
 _module_cache: Dict[ModuleParams, VermaModule] = {}
 
 
-def verma_module(c, h, ring: Ring = None) -> VermaModule:
+def verma_module(c, h, ring: Ring = QQ) -> VermaModule:
     """Shared VermaModule instances keyed by (c, h, ring), so straightening
     memoization accumulates across callers."""
-    if ring is None:
-        ring = Ring(0)
     key = ModuleParams(ring.coerce(c), ring.coerce(h), ring)
     mod = _module_cache.get(key)
     if mod is None:

@@ -6,7 +6,7 @@ tuple of Fraction or Fp coefficients and combined by the base-field
 operators."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +22,10 @@ from virfock.scalars import (
     Ring,
     RingMismatchError,
     central_coeff,
+    field_value,
     formal_ring,
     is_odd_prime,
+    numerators,
     poly_eval,
     reduce_mod_p,
     scalar_from_json,
@@ -470,3 +472,48 @@ def test_poly_arithmetic_builds_no_base_scalars(monkeypatch):
     for f, c in ((q, third), (r, residue)):
         g = f * f - f / c + c * f ** 2 - (2 - f) / 3
         assert g and g != f and hash(g) != hash(f)
+
+
+# ------------------------------------------------- the scalar <-> int codec
+
+CODEC_RINGS = (QQ, *(GF(p) for p in ODD_PRIMES), formal_ring(0))
+
+
+@st.composite
+def codec_cases(draw):
+    """A ring and a list of its scalars, zeros included; over Q some are
+    ints, which the ring's own form turns into Fractions."""
+    ring = draw(st.sampled_from(CODEC_RINGS))
+    if ring.formal:
+        scalars = st.lists(base_scalars(0), max_size=3).map(Poly)
+    elif ring.char:
+        scalars = fp_elements(ring.char)
+    else:
+        scalars = st.one_of(st.integers(-50, 50), fractions(max_num=10 ** 6, max_den=10 ** 4), st.just(Fraction(0)))
+    return ring, draw(st.lists(scalars, max_size=8))
+
+
+@settings(max_examples=200)
+@given(case=codec_cases())
+def test_numerators_and_field_value_round_trip(case):
+    ring, values = case
+    den, nums = numerators(enumerate(values), ring)
+    assert sorted(nums) == [k for k, x in enumerate(values) if x]
+    if ring.formal or ring.char:
+        assert den == 1
+    else:
+        assert den == lcm(*(Fraction(x).denominator for x in values if x))
+    for k, n in nums.items():
+        if ring.formal:
+            assert n is values[k]
+            continue
+        assert type(n) is int
+        if ring.char:
+            assert 0 <= n < ring.char
+        got, want = field_value(n, den, ring.char), ring.coerce(values[k])
+        assert type(got) is type(want) and got == want
+
+
+def test_field_value_inverts_a_denominator_over_fp():
+    assert field_value(3, 5, 7) == Fp(3, 7) / Fp(5, 7)
+    assert field_value(-6, 4, 0) == Fraction(-3, 2) and field_value(7, 1, 0) == Fraction(7)
