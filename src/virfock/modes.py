@@ -1,26 +1,30 @@
 """Mode calculus for descendant states of the vacuum.
 
 A state is a linear combination of normal-form terms built from the
-conformal vector w (the L(-2) vacuum descendant), its translation
-derivatives D^a w, and right-nested (-1)-products
+conformal vector w = L(-2)1, its divided-power translation derivatives
+D^(a) w = D^a w / a!, and right-nested (-1)-products
 
-    (a_1, ..., a_j)  <->  P(D^{a_1} w, P(D^{a_2} w, ... D^{a_j} w)),
+    (a_1, ..., a_j)  <->  P(D^(a_1) w, P(D^(a_2) w, ... D^(a_j) w)),
 
-with the empty term () standing for the vacuum itself.  Every PBW word
-L(-n_1)...L(-n_k) applied to the vacuum lands in this normal form through
-two rules: L(-n) u = (1/(n-2)!) P(D^{n-2} w, u) for n >= 2, and
-L(-1) u = D u distributed as a derivation.
+with the empty term () standing for the vacuum itself.  Divided powers are
+the integral form of the vertex algebra (R. E. Borcherds, Proc. Natl. Acad.
+Sci. USA 83 (1986) 3068).  Every PBW word L(-n_1)...L(-n_k) applied to the
+vacuum lands in this normal form with integer coefficients through two
+rules that never divide, so states exist over F_p for every odd p:
+L(-n) u = P(D^(n-2) w, u) for n >= 2, and L(-1) u = D u distributed as a
+derivation with D D^(a) w = (a+1) D^(a+1) w.
 
 Modes of composite states are evaluated on Verma vectors recursively:
 
-    w_m         = L(m-1),
-    (D x)_m     = -m * x_{m-1},
-    (P(x,y))_m  = sum_{i<0} x_i y_{m-1-i} + sum_{i>=0} y_{m-1-i} x_i,
+    (D^(a) w)_m = (-1)^a C(m, a) L(m-a-1),
+    (P(x,y))_m  = sum_{i<0} x_i y_{m-1-i} + sum_{i>=0} y_{m-1-i} x_i.
 
-where both sums are finite on any vector of a module graded in nonnegative
-degrees: a mode u_k lowers degree d to d + deg(u) - k - 1, so indices whose
-image degree would be negative contribute nothing.  For a state u of degree
-k, u_n maps degree d to degree d + k - n - 1.
+The first rule is w_m = L(m-1) and (D x)_m = -m x_{m-1} applied a times
+and divided by a!; the binomial C(m, a) is an integer for every integer m,
+(-1)^a C(a-m-1, a) for m < 0.  Both sums are finite on any vector of a
+module graded in nonnegative degrees: u_n maps degree d to
+d + deg(u) - n - 1, so indices whose image degree would be negative
+contribute nothing.
 
 The degree-6 state s and the degree-4 state u that drive the c = 1/2
 classification and its characteristic-7 degeneration are provided as named
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .lincomb import merge
-from .scalars import QQ, DenominatorDivisibleByP, Ring, Scalar
+from .scalars import QQ, Ring, Scalar
 from .verma import (
     Partition,
     VermaModule,
@@ -64,8 +68,9 @@ def build_state(word: Sequence[int], ring: Ring = QQ) -> StateWord:
     """Normal form of L(word[0])...L(word[-1]) applied to the vacuum.
 
     All entries must be negative; the rightmost operator acts first.  A
-    leading L(-1) reaching the bare vacuum yields the zero state.  Over F_p
-    an L(-n) with p dividing (n-2)! raises DenominatorDivisibleByP.
+    leading L(-1) reaching the bare vacuum yields the zero state.  The
+    coefficients are the images of integers, so every word has a normal
+    form over Q and over F_p alike.
     """
     if not word:
         raise ValueError("empty mode word")
@@ -78,13 +83,10 @@ def build_state(word: Sequence[int], ring: Ring = QQ) -> StateWord:
         if n == 1:
             # D acts as a derivation; the images of one term are distinct.
             for t, cv in state.items():
-                merge(new, {t[:i] + (t[i] + 1,) + t[i + 1 :]: cv for i in range(len(t))})
+                merge(new, {t[:i] + (a + 1,) + t[i + 1 :]: ring.of_int(a + 1) * cv for i, a in enumerate(t)})
         else:
-            if ring.char and n - 2 >= ring.char:  # p divides (n-2)!
-                raise DenominatorDivisibleByP(f"L({mode}) divides by {n - 2}!, which is 0 mod {ring.char}")
-            f = ring.of_int(1) / ring.of_int(math.factorial(n - 2))
             for t, cv in state.items():
-                new[(n - 2,) + t] = cv * f
+                new[(n - 2,) + t] = cv
         state = new
     return state
 
@@ -128,11 +130,6 @@ class ModeEngine:
         self.module = module
         self.ring = module.ring
         self._memo: Dict[Tuple[StateTerm, int, Partition], Dict[Partition, Scalar]] = {}
-        # Convention self-test: w_1 must act as L(0).
-        got = self._term((0,), 1, ())
-        want = module._act(0, ())
-        if got != want:
-            raise AssertionError("mode convention self-test failed: w_1 != L(0)")
 
     def _term(self, t: StateTerm, m: int, part: Partition) -> Dict[Partition, Scalar]:
         key = (t, m, part)
@@ -146,13 +143,14 @@ class ModeEngine:
             out = {part: self.ring.one()} if m == -1 else {}
         elif len(t) == 1:
             a = t[0]
-            if a == 0:
-                out = dict(self.module._act(m - 1, part))
+            f = (-1) ** a * math.comb(m, a) if m >= 0 else math.comb(a - m - 1, a)
+            if f == 1:
+                out = dict(self.module._act(m - a - 1, part))
             else:
-                f = self.ring.of_int(-m)
                 out = {}
+                f = self.ring.of_int(f)
                 if f:
-                    merge(out, self._term((a - 1,), m - 1, part), f)
+                    merge(out, self.module._act(m - a - 1, part), f)
         else:
             x, y = (t[0],), t[1:]
             dx, dy = term_degree(x), term_degree(y)

@@ -299,20 +299,42 @@ def test_mode_apply_rejects_bad_words(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, mode",
+    "argv, result",
     [
-        (["mode-apply", "--state", "s", "--n", "5", "--char", "3"], "L(-6) divides by 4!"),
-        (["mode-apply", "--state", "[-5]", "--n", "1", "--char", "3"], "L(-5) divides by 3!"),
-        (["mode-apply", "--state", "s", "--n", "5", "--h", "h", "--char", "3"], "L(-6) divides by 4!"),
+        # s_5 v = (h^3 + 2h) v mod 3, which vanishes at every h in F_3.
+        (["mode-apply", "--state", "s", "--n", "5", "--char", "3"], []),
+        # (D^(3) w)_4 = -C(4, 3) L(0), so L(-5)1 has mode 4 equal to -4h = 2 at h = 1.
+        (["mode-apply", "--state", "[-5]", "--n", "4", "--h", "1", "--char", "3"],
+         [{"partition": [], "coeff": "2 mod 3"}]),
+        (["mode-apply", "--state", "s", "--n", "5", "--h", "h", "--char", "3"],
+         [{"partition": [], "coeff": ["0 mod 3", "2 mod 3", "0 mod 3", "1 mod 3"]}]),
     ],
     ids=["named-state", "state-word", "formal-h"],
 )
-def test_mode_apply_factorial_zero_mod_p_is_an_error(argv, mode, capsys):
-    # L(-n) on a vacuum descendant divides by (n-2)!, which is 0 in F_p
-    # once n >= p + 2.
+def test_mode_apply_where_factorial_is_zero_mod_p(argv, result, capsys):
+    # L(-n)1 is the divided power D^(n-2) w / (n-2)!, an integral state, so
+    # it has modes mod p even once p divides (n-2)!.
     code, out, err = run_cli(argv, capsys)
-    assert code == 1 and out == ""
-    assert err == f"error: {mode}, which is 0 mod 3\n"
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == result
+
+
+def test_mode_apply_word_past_five_factorial_is_the_image_mod_five(capsys):
+    # Over Q[h] the image is (-12h) L(-4)v - L(-3)L(-1)v; mod 5 it is its image.
+    argv = ["mode-apply", "--state", "[-7,-1,-2]", "--n", "5", "--h", "h"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    over_q = json.loads(out)["result"]
+    assert over_q == [
+        {"partition": [4], "coeff": ["0", "-12"]},
+        {"partition": [3, 1], "coeff": ["-1"]},
+    ]
+    code, out, _ = run_cli(argv + ["--char", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == [
+        {"partition": t["partition"], "coeff": [f"{int(c) % 5} mod 5" for c in t["coeff"]]}
+        for t in over_q
+    ]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ vector and its D-derivatives; the engine evaluates any mode of such a
 state on Verma vectors.  The suite freezes hand-checked polynomial
 identities in a formal highest weight h, checks the commutator rule for
 composite modes against binomial expansions, and cross-validates the
-engine's truncation bounds with an independent wide-window evaluator.
+engine's divided-power states and truncation bounds with an independent
+wide-window evaluator on the raw-derivative normal form, where
+L(-n)1 = D^(n-2) w / (n-2)! and (D x)_m = -m x_{m-1}.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from virfock.lincomb import merge
-from virfock.scalars import GF, QQ, DenominatorDivisibleByP, Poly, formal_ring
+from virfock.scalars import GF, QQ, Poly, formal_ring
 from virfock.verma import VermaVector, verma_module
 from virfock.modes import (
     build_state,
@@ -38,12 +40,12 @@ from virfock.modes import (
 def test_build_state_normal_forms():
     # L(-2)1 is the conformal vector itself.
     assert build_state([-2]) == {(0,): Fraction(1)}
-    # L(-n)1 = D^(n-2) w / (n-2)!
-    assert build_state([-6]) == {(4,): Fraction(1, 24)}
+    # L(-n)1 = D^(n-2) w / (n-2)!, the divided power D^(n-2) w.
+    assert build_state([-6]) == {(4,): Fraction(1)}
     assert build_state([-3]) == {(1,): Fraction(1)}
     # Products stack left to right.
     assert build_state([-2, -2, -2]) == {(0, 0, 0): Fraction(1)}
-    assert build_state([-4, -2]) == {(2, 0): Fraction(1, 2)}
+    assert build_state([-4, -2]) == {(2, 0): Fraction(1)}
 
 
 def test_leading_translation_action():
@@ -51,9 +53,8 @@ def test_leading_translation_action():
     assert build_state([-1]) == {}
     # ... and otherwise acts as D, by the Leibniz rule over the factors.
     assert build_state([-1, -2]) == {(1,): Fraction(1)}
-    # Repeated differentiation keeps coefficient 1 on the raw derivative;
-    # the 1/2! shows up only in the normal form of L(-4) itself.
-    assert build_state([-1, -1, -2]) == {(2,): Fraction(1)}
+    # D D^(a) w = (a + 1) D^(a+1) w, so L(-1)^2 w = D^2 w = 2 D^(2) w.
+    assert build_state([-1, -1, -2]) == {(2,): Fraction(2)}
     assert build_state([-1, -1, -2]) == {
         k: Fraction(2) * v for k, v in build_state([-4]).items()
     }
@@ -70,18 +71,27 @@ def test_build_state_rejects_bad_words():
 
 
 @pytest.mark.parametrize("ring", [GF(3), formal_ring(3), GF(5)])
-def test_build_state_rejects_factorial_zero_mod_p(ring):
+def test_build_state_evaluates_where_factorial_is_zero_mod_p(ring):
+    # (n-2)! is 0 mod p from n = p + 2 on, but the divided power D^(p) w is
+    # an integral state, and its modes are the images of the rational ones.
     p = ring.char
-    # (n-2)! is a unit mod p up to n = p + 1 and 0 from n = p + 2 on.
-    assert build_state([-(p + 1)], ring) == {(p - 1,): ring.one() / ring.of_int(math.factorial(p - 1))}
-    with pytest.raises(DenominatorDivisibleByP, match=rf"L\(-{p + 2}\) divides by {p}!, which is 0 mod {p}"):
-        build_state([-2, -(p + 2)], ring)
+    assert build_state([-(p + 1)], ring) == {(p - 1,): ring.one()}
+    word = [-2, -(p + 2)]
+    assert build_state(word, ring) == {(0, p): ring.one()}
+    over_q = verma_module(Fraction(1, 2), Fraction(1), QQ)
+    mod = verma_module(Fraction(1, 2), Fraction(1), ring)
+    deg = state_degree(build_state(word))
+    for n in (deg - 2, deg - 1):
+        for part in ((), (1,), (2,)):
+            got = mode_apply(build_state(word, ring), n, mod.monomial(part), mod)
+            want = mode_apply(build_state(word), n, over_q.monomial(part), over_q)
+            assert got.terms == reduced(want.terms, ring), (n, part)
 
 
-def test_named_state_s_needs_four_factorial_invertible():
-    with pytest.raises(DenominatorDivisibleByP, match=r"L\(-6\) divides by 4!, which is 0 mod 3"):
-        named_state("s", GF(3))
-    assert named_state("u", GF(3)) == {(0, 0): GF(3).one(), (2,): -GF(3).one()}
+def test_named_states_reduce_mod_three():
+    # 93, 264 and 108 are 0 mod 3, so s = L(-2)^3 1 = P(w, P(w, w)).
+    assert named_state("s", GF(3)) == {(0, 0, 0): GF(3).one()}
+    assert named_state("u", GF(3)) == {(0, 0): GF(3).one(), (2,): GF(3).one()}
 
 
 def test_named_states():
@@ -89,10 +99,10 @@ def test_named_states():
     assert s == {
         (0, 0, 0): Fraction(64),
         (1, 1): Fraction(93),
-        (2, 0): Fraction(-132),
-        (4,): Fraction(-9, 2),
+        (2, 0): Fraction(-264),
+        (4,): Fraction(-108),
     }
-    assert named_state("u") == {(0, 0): Fraction(1), (2,): Fraction(-1)}
+    assert named_state("u") == {(0, 0): Fraction(1), (2,): Fraction(-2)}
     assert state_degree(s) == 6
     assert state_degree(named_state("u")) == 4
     with pytest.raises(ValueError, match="unknown state"):
@@ -144,8 +154,7 @@ def test_term_degree_counts_conformal_weight():
 
 
 def test_conformal_vector_modes_are_virasoro_operators():
-    # w_m = L(m - 1): the engine's construction-time self-test pins w_1 = L(0),
-    # and the shift holds across the board.
+    # w_m = L(m - 1), the a = 0 case of (D^(a) w)_m = (-1)^a C(m, a) L(m-a-1).
     m = verma_module(Fraction(1, 2), Fraction(1, 16), QQ)
     omega = build_state([-2])
     for vec in (m.monomial((2,)), m.monomial((2, 1)), m.vacuum()):
@@ -177,6 +186,11 @@ def vacuum_scalar(state, n, module):
     return out.terms[()]
 
 
+def reduced(terms, ring):
+    """Entrywise image in ring of a rational term dict."""
+    return {k: ring.coerce(v) for k, v in terms.items() if ring.coerce(v)}
+
+
 def test_degree_shift_scalars_formal():
     # Degree-6 states drop the highest weight vector by their mode index
     # minus one; at n = 5 the result is a scalar multiple of v.
@@ -204,6 +218,37 @@ def test_degree_six_combination_vanishes_exactly_on_ising_weights():
     ]:
         mod = verma_module(Fraction(1, 2), h, QQ)
         assert vacuum_scalar(named_state("s"), 5, mod) == expect
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_degree_six_combination_mod_p_vanishes_exactly_on_ising_weights(p):
+    # Over F_p[h], s_5 v is the image of 64 h^3 - 36 h^2 + 2 h, and its roots
+    # in F_p are the images of 0, 1/2 and 1/16 (two roots at p = 7, where
+    # 1/16 = 1/2 = 4).
+    F = formal_ring(p)
+    m = verma_module(Fraction(1, 2), F.h(), F)
+    got = vacuum_scalar(named_state("s", F), 5, m)
+    assert got == Poly((0, 2, -36, 64), p)
+    field = GF(p)
+    roots = {field.of_int(x) for x in range(p) if not got.eval(field.of_int(x))}
+    assert roots == {field.coerce(h) for h in (Fraction(0), Fraction(1, 2), Fraction(1, 16))}
+    assert len(roots) == (2 if p == 7 else 3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2), Fraction(1, 16)])
+def test_degree_six_state_annihilates_ising_irreducibles_mod_p(p, h):
+    m = verma_module(Fraction(1, 2), h, GF(p))
+    rep = verify_annihilation(named_state("s", GF(p)), m, 2, 4)
+    assert rep.ok
+    assert rep.checks == 60
+
+
+def test_degree_six_state_mod_five_reports_a_weight_off_the_roots():
+    # Negative control: h = 2 is not a root of s_5 v mod 5, so s_5 v != 0.
+    m = verma_module(Fraction(1, 2), Fraction(2), GF(5))
+    rep = verify_annihilation(named_state("s", GF(5)), m, 2, 4)
+    assert (0, 5, ()) in rep.violations
 
 
 def test_degree_four_combination_scalar_mod_seven():
@@ -346,9 +391,40 @@ def test_commutator_of_conformal_modes_expands_binomially(s, t):
 # ---------------------------------------------------------------------------
 
 
+def factorial_state(word, ring=QQ):
+    """The normal form of L(word)1 with raw derivatives D^a w, in which
+    L(-n)1 = D^(n-2) w / (n-2)!.  Defined over F_p only while p > n - 2."""
+    state = {(): ring.one()}
+    for mode in reversed(list(word)):
+        n = -mode
+        new = {}
+        if n == 1:
+            for t, cv in state.items():
+                add_into(new, {t[:i] + (t[i] + 1,) + t[i + 1 :]: cv for i in range(len(t))})
+        else:
+            f = ring.one() / ring.of_int(math.factorial(n - 2))
+            for t, cv in state.items():
+                new[(n - 2,) + t] = cv * f
+        state = new
+    return state
+
+
+def add_into(acc, terms, factor=None):
+    for r, cw in terms.items():
+        v = cw if factor is None else factor * cw
+        s = acc.get(r)
+        s = v if s is None else s + v
+        if s:
+            acc[r] = s
+        else:
+            acc.pop(r, None)
+    return acc
+
+
 def naive_term(t, m, part, module, pad=4):
-    """Evaluate the mode t_m on a basis monomial without memoization and
-    with summation windows padded beyond the engine's truncation bounds.
+    """Evaluate the mode t_m of a raw-derivative term on a basis monomial
+    without memoization, by (D x)_m = -m x_{m-1}, and with summation windows
+    padded beyond the engine's truncation bounds.
 
     The padding adds only terms that vanish on degree grounds, so any
     disagreement with the memoized engine means a truncation bug.
@@ -377,13 +453,7 @@ def naive_term(t, m, part, module, pad=4):
 
 def naive_compose(t, k, inner, acc, module, pad):
     for q, cv in inner.items():
-        for r, cw in naive_term(t, k, q, module, pad).items():
-            s = acc.get(r)
-            s = cv * cw if s is None else s + cv * cw
-            if s:
-                acc[r] = s
-            else:
-                acc.pop(r, None)
+        add_into(acc, naive_term(t, k, q, module, pad), cv)
     return acc
 
 
@@ -392,46 +462,59 @@ def mode_on_monomial(n, part, module):
     return out.terms
 
 
+def oracle_image(pbw, n, part, module, pad=4):
+    """The image of the mode n of sum_j c_j L(word_j)1 on a basis monomial,
+    through factorial_state and naive_term; pbw lists (c_j, word_j)."""
+    want = {}
+    for coeff, word in pbw:
+        for t, cv in factorial_state(word, module.ring).items():
+            add_into(want, naive_term(t, n, part, module, pad), cv * module.ring.of_int(coeff))
+    return want
+
+
+def engine_image(pbw, n, part, module):
+    state = {}
+    for coeff, word in pbw:
+        merge(state, build_state(word, module.ring), module.ring.of_int(coeff))
+    return mode_apply(state, n, module.monomial(part), module).terms
+
+
 @pytest.mark.parametrize(
     "word",
-    [[-2], [-3], [-4], [-2, -2], [-3, -2], [-2, -2, -2]],
+    [
+        [-2], [-3], [-4], [-2, -2], [-3, -2], [-2, -2, -2],
+        [-1, -2], [-5], [-1, -3, -2], [-6, -1, -2], [-7, -1, -2], [-1, -5, -2],
+    ],
 )
 def test_engine_agrees_with_wide_window_evaluator(word):
     m = verma_module(Fraction(1, 2), Fraction(1, 16), QQ)
-    state = build_state(word)
-    deg = state_degree(state)
+    deg = state_degree(build_state(word))
     for n in (deg - 2, deg - 1, deg, deg + 1):
         for target_degree in (0, 1, 2):
             for part in m.basis(target_degree):
-                got = mode_apply(state, n, m.monomial(part), m).terms
-                want = {}
-                for t, cv in state.items():
-                    for q, cw in naive_term(t, n, part, m).items():
-                        s = want.get(q)
-                        s = cv * cw if s is None else s + cv * cw
-                        if s:
-                            want[q] = s
-                        else:
-                            want.pop(q, None)
-                assert got == want, (word, n, part)
+                got = engine_image([(1, word)], n, part, m)
+                assert got == oracle_image([(1, word)], n, part, m), (word, n, part)
 
 
 def test_engine_agrees_with_wide_window_evaluator_mod_seven():
     m = verma_module(Fraction(1, 2), Fraction(4), GF(7))
-    state = named_state("u", GF(7))
-    for n in (2, 3, 4, 5):
-        for part in ((), (1,), (2,), (1, 1)):
-            got = mode_apply(state, n, m.monomial(part), m).terms
-            want = {}
-            for t, cv in state.items():
-                for q, cw in naive_term(t, n, part, m).items():
-                    s = want.get(q)
-                    s = cv * cw if s is None else s + cv * cw
-                    if s:
-                        want[q] = s
-                    else:
-                        want.pop(q, None)
-            assert got == want, (n, part)
+    for pbw in (named_state_pbw("u"), [(1, [-7, -1, -2])], [(3, [-1, -8])]):
+        deg = state_degree(build_state(pbw[0][1]))
+        for n in (deg - 2, deg - 1, deg, deg + 1):
+            for part in ((), (1,), (2,), (1, 1)):
+                got = engine_image(pbw, n, part, m)
+                assert got == oracle_image(pbw, n, part, m), (pbw, n, part)
+
+
+def test_engine_agrees_with_wide_window_evaluator_mod_five():
+    # Up to L(-6), the largest mode whose (n-2)! is a unit mod 5.
+    m = verma_module(Fraction(1, 2), Fraction(1, 16), GF(5))
+    for word in ([-6, -1, -2], [-1, -5, -2], [-1, -1, -6], [-3, -4]):
+        deg = state_degree(build_state(word))
+        for n in (deg - 2, deg - 1, deg, deg + 1):
+            for part in ((), (1,), (2,), (1, 1)):
+                got = engine_image([(1, word)], n, part, m)
+                assert got == oracle_image([(1, word)], n, part, m), (word, n, part)
 
 
 @given(
@@ -440,15 +523,19 @@ def test_engine_agrees_with_wide_window_evaluator_mod_seven():
 )
 def test_degree_six_state_engine_matches_oracle(n, target):
     m = verma_module(Fraction(1, 2), Fraction(0), QQ)
-    state = named_state("s")
-    got = mode_apply(state, n, m.monomial(target), m).terms
-    want = {}
-    for t, cv in state.items():
-        for q, cw in naive_term(t, n, target, m, pad=3).items():
-            s = want.get(q)
-            s = cv * cw if s is None else s + cv * cw
-            if s:
-                want[q] = s
-            else:
-                want.pop(q, None)
-    assert got == want
+    pbw = named_state_pbw("s")
+    assert engine_image(pbw, n, target, m) == oracle_image(pbw, n, target, m, pad=3)
+
+
+@given(
+    a=st.integers(min_value=0, max_value=6),
+    n=st.integers(min_value=-10, max_value=10),
+    target=st.sampled_from([(), (1,), (2,), (1, 1), (3,)]),
+)
+def test_divided_power_mode_is_the_recursion_over_a_factorial(a, n, target):
+    # (D^(a) w)_n = (-1)^a C(n, a) L(n-a-1) against the a-step recursion
+    # (D x)_n = -n x_{n-1} divided by a!, negative n included.
+    m = verma_module(Fraction(1, 2), Fraction(1, 16), QQ)
+    got = mode_apply({(a,): Fraction(1)}, n, m.monomial(target), m).terms
+    want = naive_term((a,), n, target, m)
+    assert got == {q: cv / math.factorial(a) for q, cv in want.items()}
