@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (
+    MODE_PARITY,
     NS,
     RAMOND,
     FockVector,
@@ -35,6 +36,7 @@ from .fock import (
     sector_dims,
     sector_hw_vector,
     sigma,
+    slice_weight2,
     vir_span_dims,
 )
 from .linalg import SpanBuilder, det, rank
@@ -48,6 +50,7 @@ from .modes import (
 from .scalars import (
     GF,
     QQ,
+    Poly,
     Ring,
     central_coeff,
     formal_ring,
@@ -171,8 +174,8 @@ class VerificationReport:
         }
 
 
-def _mod(h: Fraction, ring: Ring = QQ):
-    return verma_module(ring.coerce(C_ISING), ring.coerce(h), ring)
+def _mod(h, ring: Ring = QQ):
+    return verma_module(C_ISING, h, ring)
 
 
 def _vec(module, coeffs: Dict[tuple, Fraction]) -> VermaVector:
@@ -282,7 +285,7 @@ def _check_radical_generated() -> Tuple[str, str]:
 def _check_classify_identity() -> Tuple[str, str]:
     ring = formal_ring(0)
     h = ring.h()
-    mod = verma_module(ring.coerce(C_ISING), h, ring)
+    mod = _mod(h, ring)
     s = named_state("s", ring)
     got = mode_apply(s, 5, mod.vacuum(), mod)
     want_poly = 64 * h * (h - HALF) * (h - SIXTEENTH)
@@ -297,7 +300,7 @@ def _check_classify_identity() -> Tuple[str, str]:
 def _check_classify_intermediates() -> Tuple[str, str]:
     ring = formal_ring(0)
     h = ring.h()
-    mod = verma_module(ring.coerce(C_ISING), h, ring)
+    mod = _mod(h, ring)
     cases = (
         ((-2, -2, -2), h * h * h + 6 * h * h + 8 * h, "L(-2)^3"),
         ((-3, -3), 4 * h * h + 6 * h, "L(-3)^2"),
@@ -328,23 +331,13 @@ LEMMA47_COMPONENTS = (
 )
 
 
-def _poly(ring: Ring, coeffs: Sequence[Fraction]):
-    h = ring.h()
-    acc = ring.zero()
-    power = ring.one()
-    for c in coeffs:
-        acc = acc + power * ring.of_fraction(c)
-        power = power * h
-    return acc
-
-
 def _check_expansion_formal() -> Tuple[str, str]:
     ring = formal_ring(0)
-    mod = verma_module(ring.coerce(C_ISING), ring.h(), ring)
+    mod = _mod(ring.h(), ring)
     s = named_state("s", ring)
     got = mode_apply(s, 5, mod.monomial((2,)), mod)
-    f = _poly(ring, LEMMA47_F_COEFFS)
-    g = _poly(ring, LEMMA47_G_COEFFS)
+    f = Poly(LEMMA47_F_COEFFS, ring.char)
+    g = Poly(LEMMA47_G_COEFFS, ring.char)
     want = VermaVector({(2,): f, (1, 1): g})
     if got != want:
         return _bad(f"s_5 L(-2)v = {got!r}, expected f(h) L(-2)v + g(h) L(-1)^2 v")
@@ -353,11 +346,11 @@ def _check_expansion_formal() -> Tuple[str, str]:
 
 def _check_expansion_components() -> Tuple[str, str]:
     ring = formal_ring(0)
-    mod = verma_module(ring.coerce(C_ISING), ring.h(), ring)
+    mod = _mod(ring.h(), ring)
     for word, fc, gc in LEMMA47_COMPONENTS:
         got = mode_apply(build_state(word, ring), 5, mod.monomial((2,)), mod)
-        gpoly = _poly(ring, gc)
-        want = VermaVector({(2,): _poly(ring, fc)})
+        gpoly = Poly(gc, ring.char)
+        want = VermaVector({(2,): Poly(fc, ring.char)})
         if gpoly != ring.zero():
             want = want + VermaVector({(1, 1): gpoly})
         if got != want:
@@ -488,7 +481,7 @@ def _check_char7_identity() -> Tuple[str, str]:
 def _check_char7_u3_formal() -> Tuple[str, str]:
     ring = formal_ring(7)
     h = ring.h()
-    mod = verma_module(ring.coerce(C_ISING), h, ring)
+    mod = _mod(h, ring)
     u = named_state("u", ring)
     got = mode_apply(u, 3, mod.vacuum(), mod)
     want = VermaVector({(): h * (h - 4)})
@@ -548,7 +541,7 @@ def _check_char7_fock_hw15() -> Tuple[str, str]:
 
 def _check_char7_annihilation_u() -> Tuple[str, str]:
     ring = GF(7)
-    mod = verma_module(ring.coerce(C_ISING), ring.of_int(4), ring)
+    mod = _mod(4, ring)
     rep = verify_annihilation(named_state("u", ring), mod, 2, 4)
     if not rep.ok:
         return _bad(f"u does not annihilate L(1/2, 4) over F_7: first violation {rep.violations[0]}")
@@ -661,21 +654,15 @@ def _fock_monomials_upto(sector: str, max_weight2: int) -> List[FockVector]:
     out = []
     for parity in (0, 1):
         d = 0
-        while True:
-            basis = sector_basis(sector, parity, d)
-            w2 = 2 * d + parity if sector == NS else 2 * d
-            if w2 > max_weight2:
-                break
-            for t in basis:
-                out.append(FockVector(sector, QQ, {t: Fraction(1)}))
+        while slice_weight2(sector, parity, d) <= max_weight2:
+            out.extend(FockVector(sector, QQ, {t: Fraction(1)}) for t in sector_basis(sector, parity, d))
             d += 1
     return out
 
 
 def _sector_modes(sector: str, bound2: int) -> List[Fraction]:
     """Fermion modes k/2, |k| <= bound2, ascending: odd k for NS, even for R."""
-    odd = 1 if sector == NS else 0
-    return [Fraction(k, 2) for k in range(-bound2, bound2 + 1) if k % 2 == odd]
+    return [Fraction(k, 2) for k in range(-bound2, bound2 + 1) if k % 2 == MODE_PARITY[sector]]
 
 
 def _check_fock_bracket() -> Tuple[str, str]:

@@ -22,9 +22,11 @@ from .fock import (
     RAMOND,
     FockVector,
     fock_hw_vectors,
+    mode_str,
     monomial_str,
     sector_dims,
     sector_hw_vector,
+    slice_weight2,
     vir_span_dims,
 )
 from .modes import build_state, mode_apply, named_state
@@ -50,12 +52,6 @@ def _module(cfg: argparse.Namespace) -> VermaModule:
 
 def _fock_display(v: FockVector) -> str:
     return " + ".join(f"({scalar_to_str(cv)})*{monomial_str(t)}" for t, cv in v.items()) or "0"
-
-
-def _weight_str(sector: str, parity: int, degree: int) -> str:
-    if sector == NS and parity == 1:
-        return f"{2 * degree + 1}/2"
-    return str(degree)
 
 
 # ------------------------------------------------------------------ commands
@@ -87,7 +83,7 @@ def cmd_fock_dims(cfg: argparse.Namespace) -> Tuple[dict, int]:
         "sector": cfg.sector,
         "parity": cfg.parity,
         "rows": [
-            {"degree": d, "weight": _weight_str(cfg.sector, cfg.parity, d), "dim": n}
+            {"degree": d, "weight": mode_str(slice_weight2(cfg.sector, cfg.parity, d)), "dim": n}
             for d, n in enumerate(dims)
         ],
     }, 0
@@ -108,15 +104,13 @@ def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 def cmd_hwvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
     ring = Ring(cfg.char)
-    weight = Fraction(cfg.degree)
-    if cfg.sector == NS and cfg.parity == 1:
-        weight = cfg.degree + Fraction(1, 2)
-    vecs = fock_hw_vectors(cfg.sector, cfg.parity, weight, ring)
+    w2 = slice_weight2(cfg.sector, cfg.parity, cfg.degree)
+    vecs = fock_hw_vectors(cfg.sector, cfg.parity, Fraction(w2, 2), ring)
     return {
         "sector": cfg.sector,
         "parity": cfg.parity,
         "char": cfg.char,
-        "weight": _weight_str(cfg.sector, cfg.parity, cfg.degree),
+        "weight": mode_str(w2),
         "vectors": [{"terms": v.to_json(), "display": _fock_display(v)} for v in vecs],
     }, 0
 

@@ -27,9 +27,12 @@ applied on doubled integer modes and memoized per (sector, ring, n,
 monomial).  On a monomial only the pairs whose a(y) is an annihilator
 present in it, or (n < 0) a creation pair x < y <= 0, can act.
 
-The grading used for dimension counts is the sector-adjusted degree: a
-monomial of weight w counts in degree w - s/2 in NS parity s, and in degree
-w in R.
+The grading used for dimension counts is the sector-adjusted degree
+floor(w2/2) of a monomial of doubled weight w2, in both sectors.  An NS
+monomial's parity is w2 mod 2, since each factor has odd doubled weight;
+slice_weight2 gives the weight of each slice.  The fermion action is one
+rule for every mode: a factor moves to or from position i at sign (-1)^i,
+and a(0) contracted with itself gives a(0)^2 = 1/2.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ RAMOND = "R"
 
 _SECTORS = (NS, RAMOND)
 
+# Parity of a sector's doubled modes: NS modes are odd halves, R modes integers.
+MODE_PARITY = {NS: 1, RAMOND: 0}
+
 
 def _dbl(x) -> int:
     """Doubled value of an integer or half-integer mode."""
@@ -67,7 +73,16 @@ def _check_sector(sector: str) -> str:
 
 
 def _mode_in_sector(m2: int, sector: str) -> bool:
-    return (m2 % 2 != 0) if sector == NS else (m2 % 2 == 0)
+    return m2 % 2 == MODE_PARITY[sector]
+
+
+def slice_weight2(sector: str, parity: int, degree: int) -> int:
+    """Doubled weight of the sector/parity slice in sector-adjusted degree
+    `degree`: 2*degree + 1 for odd NS, 2*degree otherwise."""
+    mode_parity = MODE_PARITY[_check_sector(sector)]
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    return 2 * degree + parity * mode_parity
 
 
 def mode_str(m2: int) -> str:
@@ -84,11 +99,10 @@ def monomial_str(t: FockMonomial) -> str:
 
 
 def _valid_monomial(t: FockMonomial, sector: str) -> bool:
+    mode_parity = MODE_PARITY[_check_sector(sector)]
     if any(t[i] <= t[i + 1] for i in range(len(t) - 1)):
         return False
-    if sector == NS:
-        return all(n2 > 0 and n2 % 2 == 1 for n2 in t)
-    return all(n2 >= 0 and n2 % 2 == 0 for n2 in t)
+    return all(n2 >= 0 and n2 % 2 == mode_parity for n2 in t)
 
 
 class FockVector(LinComb):
@@ -127,7 +141,7 @@ class FockVector(LinComb):
         w2, par = self.weight2(), self.parity()
         if w2 is None or par is None:
             raise ValueError("adjusted degree needs a homogeneous, parity-pure vector")
-        return (w2 - par) // 2 if self.sector == NS else w2 // 2
+        return w2 // 2
 
     def leading_monomial(self) -> FockMonomial:
         return self._leading_key()
@@ -174,29 +188,26 @@ def fermion_monomial(sector: str, modes: Iterable, ring: Ring = QQ) -> FockVecto
 
 
 def _apply_fermion_term(m2: int, t: FockMonomial, one: Scalar):
-    """a(m2/2) on one monomial: (new monomial, scalar factor) or None."""
-    if m2 < 0:
-        n2 = -m2
-        i = 0
-        while i < len(t) and t[i] > n2:
-            i += 1
-        if i < len(t) and t[i] == n2:
+    """a(m2/2) on one monomial: (new monomial, scalar factor) or None.
+
+    The factor of doubled magnitude n2 = |m2| moves to or from position i,
+    behind the i larger factors, at sign (-1)^i.  Meeting its own partner,
+    an annihilator contracts with 1, a(0) with 1/2, and a creator gives 0.
+    """
+    n2 = -m2 if m2 < 0 else m2
+    if n2 in t:
+        if m2 < 0:
             return None
+        i = t.index(n2)
         f = one if i % 2 == 0 else -one
-        return t[:i] + (n2,) + t[i:], f
+        return t[:i] + t[i + 1 :], (f if m2 else f / 2)
     if m2 > 0:
-        if m2 not in t:
-            return None
-        i = t.index(m2)
-        f = one if i % 2 == 0 else -one
-        return t[:i] + t[i + 1 :], f
-    # m2 == 0: contract a trailing a(0), or append one.
-    if t and t[-1] == 0:
-        i = len(t) - 1
-        f = (one if i % 2 == 0 else -one) / 2
-        return t[:-1], f
-    f = one if len(t) % 2 == 0 else -one
-    return t + (0,), f
+        return None
+    i = 0
+    while i < len(t) and t[i] > n2:
+        i += 1
+    f = one if i % 2 == 0 else -one
+    return t[:i] + (n2,) + t[i:], f
 
 
 def apply_fermion(m, vec: FockVector) -> FockVector:
@@ -227,7 +238,7 @@ def _virasoro_term(sector: str, ring: Ring, n: int, t: FockMonomial) -> Dict[Foc
     # in t, then for n < 0 the creation modes y <= 0 with a partner x < y.
     ys = [y2 for y2 in t if y2 > max(n, 0)]
     if n < 0:
-        ys.extend(range(0 if sector == RAMOND else -1, n, -2))
+        ys.extend(range(-MODE_PARITY[sector], n, -2))
     out: Dict[FockMonomial, Scalar] = {}
     for y2 in ys:
         x2 = 2 * n - y2
@@ -262,51 +273,28 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _strict_tuples(w2: int, max2: int, step: int) -> Tuple[FockMonomial, ...]:
-    """Strictly decreasing tuples of positive values from {step, 2*step, ...}
-    if step even else odd values, summing to w2, largest part <= max2."""
+def _strict_tuples(w2: int, top: int) -> Tuple[FockMonomial, ...]:
+    """Strictly decreasing tuples of parts from top, top - 2, ... > 0 that
+    sum to w2, in descending lexicographic order."""
     if w2 == 0:
         return ((),)
-    out: List[FockMonomial] = []
-    first = min(max2, w2)
-    if step == 2:  # even positive entries
-        first -= first % 2
-        lo = 2
-    else:  # odd entries
-        if first % 2 == 0:
-            first -= 1
-        lo = 1
-    v = first
-    while v >= lo:
-        for rest in _strict_tuples(w2 - v, v - 2, step):
-            out.append((v,) + rest)
-        v -= 2
-    return tuple(out)
+    return tuple(
+        (v,) + rest for v in range(top, 0, -2) if v <= w2 for rest in _strict_tuples(w2 - v, v - 2)
+    )
 
 
 @lru_cache(maxsize=None)
 def sector_basis(sector: str, parity: int, degree: int) -> Tuple[FockMonomial, ...]:
     """All monomials of the given parity and sector-adjusted degree, sorted
     in descending lexicographic order."""
-    _check_sector(sector)
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    w2 = slice_weight2(sector, parity, degree)
     if degree < 0:
         return ()
-    out: List[FockMonomial] = []
-    if sector == NS:
-        w2 = 2 * degree + parity
-        for t in _strict_tuples(w2, w2, 1):
-            if len(t) % 2 == parity:
-                out.append(t)
-    else:
-        w2 = 2 * degree
-        for t in _strict_tuples(w2, w2, 2):
-            if len(t) % 2 == parity:
-                out.append(t)
-            else:
-                out.append(t + (0,))
-    return tuple(sorted(out, reverse=True))
+    # Parts are the sector's positive modes up to w2.  In NS a monomial's
+    # length parity is w2 mod 2; in R a trailing a(0) fixes it, and no
+    # strict tuple is a prefix of another, so the order survives.
+    top = w2 - (w2 - MODE_PARITY[sector]) % 2
+    return tuple(t if len(t) % 2 == parity else t + (0,) for t in _strict_tuples(w2, top))
 
 
 def sector_dims(sector: str, parity: int, max_degree: int) -> List[int]:
@@ -342,11 +330,9 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
     normalized so its lexicographically largest monomial has coefficient 1."""
     w2 = _dbl(weight)
     parity = int(parity)
-    if sector == NS and (w2 - parity) % 2 != 0:
-        raise ValueError(f"no NS parity-{parity} monomials of weight {weight}")
-    if sector == RAMOND and w2 % 2 != 0:
-        raise ValueError("R-sector weights are integers")
-    degree = (w2 - parity) // 2 if sector == NS else w2 // 2
+    degree = w2 // 2
+    if slice_weight2(sector, parity, degree) != w2:
+        raise ValueError(f"no {sector} parity-{parity} monomials of weight {weight}")
     basis = sector_basis(sector, parity, degree)
     one = ring.one()
     maps = [[apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms for t in basis] for m in (1, 2)]

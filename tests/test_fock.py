@@ -24,6 +24,7 @@ from virfock.fock import (
     sector_dims,
     sector_hw_vector,
     sigma,
+    slice_weight2,
     vacuum,
     vir_span_dims,
 )
@@ -266,6 +267,50 @@ def test_sector_basis_matches_dims():
             basis = sector_basis(sector, parity, degree)
             assert len(basis) == want
             assert all(len(t) % 2 == parity for t in basis)
+
+
+# Doubled weight of each slice in sector-adjusted degree d, and the
+# doubled magnitudes of the creation modes of its sector.
+SLICES = (
+    (NS, 0, lambda d: 2 * d, range(1, 22, 2)),
+    (NS, 1, lambda d: 2 * d + 1, range(1, 22, 2)),
+    (RAMOND, 0, lambda d: 2 * d, range(0, 21, 2)),
+    (RAMOND, 1, lambda d: 2 * d, range(0, 21, 2)),
+)
+
+
+@pytest.mark.parametrize("sector, parity, weight2, magnitudes", SLICES)
+def test_sector_basis_is_the_sorted_brute_force_enumeration(sector, parity, weight2, magnitudes):
+    monomials = _all_monomials(magnitudes, weight2(10))
+    for degree in range(11):
+        w2 = weight2(degree)
+        want = sorted((t for t in monomials if sum(t) == w2 and len(t) % 2 == parity), reverse=True)
+        basis = sector_basis(sector, parity, degree)
+        assert list(basis) == want, degree
+        assert slice_weight2(sector, parity, degree) == w2
+        for t in basis:
+            assert FockVector(sector, QQ, {t: QQ.one()}).adjusted_degree() == degree
+
+
+def test_slice_checks_still_fire():
+    with pytest.raises(ValueError):
+        fock_hw_vectors(NS, 0, HALF)
+    with pytest.raises(ValueError):
+        fock_hw_vectors(RAMOND, 0, HALF)
+    mixed = vacuum(RAMOND) + fermion_monomial(RAMOND, [0])
+    with pytest.raises(ValueError):
+        mixed.adjusted_degree()
+    with pytest.raises(ValueError):
+        slice_weight2("X", 0, 1)
+    with pytest.raises(ValueError):
+        slice_weight2(NS, 2, 1)
+
+
+def test_zero_mode_squares_to_one_half():
+    # r_monomials holds monomials with and without the trailing a(0).
+    for t in r_monomials(8):
+        x = FockVector(RAMOND, QQ, {t: QQ.one()})
+        assert apply_fermion(0, apply_fermion(0, x)) == x.scale(HALF), t
 
 
 def test_sector_hw_vectors_and_their_weights():

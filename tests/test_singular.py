@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from virfock.scalars import GF, QQ, DenominatorDivisibleByP
+from virfock.fock import NS, RAMOND, sector_dims
+from virfock.scalars import GF, QQ, DenominatorDivisibleByP, is_odd_prime
 from virfock.singular import (
     generated_submodule_dims,
     irreducible_dims,
@@ -162,6 +163,25 @@ def test_irreducible_dims_mod_seven_shrink_at_degree_four():
     table = irreducible_dims(ising(Fraction(0), GF(7)), 4)
     assert table.irreducible() == [1, 0, 1, 1, 1]
     assert table.rows[4].radical == 4
+
+
+# The Fock slice whose monomial counts give the character of L(1/2, h) over Q,
+# and the degree at which the F_7 dimensions first fall below them.
+FOCK_SLICES = {Fraction(0): (NS, 0), Fraction(1, 2): (NS, 1), Fraction(1, 16): (RAMOND, 0)}
+CHAR7_FIRST_DROP = {Fraction(0): 4, Fraction(1, 2): 7, Fraction(1, 16): 3}
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 50) if is_odd_prime(p)])
+def test_prime_sweep_matches_fock_counts_except_in_characteristic_seven(p):
+    for h, (sector, parity) in FOCK_SLICES.items():
+        fock = sector_dims(sector, parity, 12)
+        irr = irreducible_dims(ising(h, GF(p)), 12).irreducible()
+        if p != 7:
+            assert irr == fock, h
+            continue
+        first = next(n for n, (a, b) in enumerate(zip(irr, fock)) if a != b)
+        assert first == CHAR7_FIRST_DROP[h], h
+        assert all(a <= b for a, b in zip(irr, fock)), h
 
 
 def test_character_table_json_shape():
