@@ -187,6 +187,16 @@ def fermion_monomial(sector: str, modes: Iterable, ring: Ring = QQ) -> FockVecto
     return FockVector(sector, ring, {t: ring.one()})
 
 
+def _ends_in_zero_mode(t: FockMonomial) -> bool:
+    """True when t holds a(0), which sorts last in a monomial."""
+    return bool(t) and t[-1] == 0
+
+
+def _zero_mode_square(f: Scalar) -> Scalar:
+    """f times a(0)^2 = 1/2, the one contraction constant other than 1."""
+    return f / 2
+
+
 def _apply_fermion_term(m2: int, t: FockMonomial, one: Scalar):
     """a(m2/2) on one monomial: (new monomial, scalar factor) or None.
 
@@ -200,7 +210,7 @@ def _apply_fermion_term(m2: int, t: FockMonomial, one: Scalar):
             return None
         i = t.index(n2)
         f = one if i % 2 == 0 else -one
-        return t[:i] + t[i + 1 :], (f if m2 else f / 2)
+        return t[:i] + t[i + 1 :], (f if m2 else _zero_mode_square(f))
     if m2 > 0:
         return None
     i = 0
@@ -353,10 +363,10 @@ def sigma(vec: FockVector) -> FockVector:
         raise ValueError("sigma is defined on the R sector")
     if vec.terms and vec.parity() != 0:
         raise ValueError("sigma expects an even-parity vector")
-    half = vec.ring.one() / vec.ring.of_int(2)
+    half = _zero_mode_square(vec.ring.one())
     out: Dict[FockMonomial, Scalar] = {}
     for t, cv in vec.terms.items():
-        if t and t[-1] == 0:
+        if _ends_in_zero_mode(t):
             out[t[:-1]] = cv * half
         else:
             out[t + (0,)] = cv
@@ -373,14 +383,14 @@ def fock_form(u: FockVector, v: FockVector) -> Scalar:
     if u.sector != v.sector:
         raise ValueError("form pairing needs a single sector")
     ring = u.ring
-    half = ring.one() / ring.of_int(2)
+    half = _zero_mode_square(ring.one())
     acc = ring.zero()
     small, large = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
     for t, cv in small.items():
         w = large.get(t)
         if w is not None:
             term = cv * w
-            if t and t[-1] == 0:
+            if _ends_in_zero_mode(t):
                 term = term * half
             acc = acc + term
     return acc

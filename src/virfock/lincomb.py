@@ -1,9 +1,13 @@
 """Sparse linear combinations: the one term-merge loop and the vector base.
 
 A term dict maps basis keys (partitions, Fock monomials, state terms) to
-nonzero scalars.  `merge` is the only place that adds one term dict into
-another; every module that accumulates terms calls it.  `LinComb` wraps a
-term dict with the arithmetic shared by the Verma and Fock vector classes.
+nonzero scalars.  `merge` is the one loop that adds one such dict of ring
+scalars into another; every module that accumulates scalar terms calls it.
+Sums kept in the int form of `scalars` are not scalar term dicts: the Gram
+recurrence (`verma`) and elimination (`linalg`) take int dot products, and
+the mode engine (`modes`) adds int polynomial products into lists through
+`scalars.conv_add`.  `LinComb` wraps a term dict with the arithmetic shared
+by the Verma and Fock vector classes.
 """
 
 from __future__ import annotations

@@ -13,11 +13,14 @@ upstream never branches on the coefficient ring:
   convolution and gcd normalization; ``Poly.coeffs`` is a derived view that
   builds the Fraction or Fp coefficients when they are read.
 
-The same int form serves the Gram slices and linear algebra.  One codec
-converts between it and scalars: ``numerators`` splits (key, scalar) pairs
-into ints over one denominator (the Poly values themselves over a formal
-ring) and rejects a scalar of another ring, and ``field_value`` builds the
-Fraction or Fp for an int numerator over a denominator.
+The same int form serves the Gram slices, linear algebra and the mode
+engine.  One codec converts between it and scalars: ``numerators`` splits
+(key, scalar) pairs into ints over one denominator (the Poly values
+themselves over a formal ring) and ``poly_numerators`` into int tuples
+over one denominator (1-tuples over a base field); both reject a scalar of
+another ring.  ``field_value`` builds the Fraction or Fp for an int
+numerator over a denominator, ``poly_value`` the canonical Poly for an int
+tuple over one, and ``conv_add`` is the one int polynomial product.
 
 A ``Ring`` value describes which carrier is in play.  Characteristic 2 is
 rejected everywhere because 2 must stay invertible for the central term
@@ -161,7 +164,7 @@ class Poly:
     def __init__(self, coeffs, char: int = 0):
         parts = [_base_parts(cv, char) for cv in coeffs]
         den = lcm(*(d for _, d in parts))
-        f = _reduced(char, [n * (den // d) for n, d in parts], den)
+        f = poly_value([n * (den // d) for n, d in parts], den, char)
         self.char, self.num, self.den = char, f.num, f.den
 
     @property
@@ -194,12 +197,12 @@ class Poly:
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
         out.extend(a[len(b):])
-        return _reduced(self.char, out, den)
+        return poly_value(out, den, self.char)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(self.char, [-x for x in self.num], self.den)
+        return poly_value([-x for x in self.num], self.den, self.char)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -217,13 +220,7 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.num, o.num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _reduced(self.char, out, self.den * o.den)
+        return poly_value(conv_add([], self.num, o.num), self.den * o.den, self.char)
 
     __rmul__ = __mul__
 
@@ -246,12 +243,12 @@ class Poly:
         p, c = self.char, o.num[0]
         if p:
             inv = pow(c, -1, p)
-            return _reduced(p, [x * inv for x in self.num], 1)
+            return poly_value([x * inv for x in self.num], 1, p)
         # (num / den) / (c / d) = (d num) / (c den); the sign of c goes on top.
         d = o.den
         if c < 0:
             c, d = -c, -d
-        return _reduced(0, [x * d for x in self.num], self.den * c)
+        return poly_value([x * d for x in self.num], self.den * c, 0)
 
     def __eq__(self, other):
         # Only Poly values compare, for the same reason as Fp.__eq__.
@@ -276,25 +273,47 @@ class Poly:
         return f"Poly({self.coeffs!r}, char={self.char})"
 
 
-def _reduced(char: int, num: list, den: int) -> Poly:
+def poly_value(num, den: int, char: int) -> Poly:
     """The canonical Poly with coefficients num[i] / den (num[i] mod p over
     F_p, where den is 1): trailing zeros dropped and, over Q, the factor
-    that den shares with every numerator divided out.  Builds the Poly
-    directly, without the constructor's checks."""
+    that den shares with every numerator divided out.  num is any int
+    sequence and is not modified.  This is the one decoder of the int
+    polynomial form; it builds the Poly directly, without the constructor's
+    checks."""
     if char:
         num = [x % char for x in num]
-    while num and not num[-1]:
-        num.pop()
-    if not num:
-        den = 1
-    elif den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            den //= g
-            num = [x // g for x in num]
+    k = len(num)
+    while k and not num[k - 1]:
+        k -= 1
+    if not k:
+        num, den = (), 1
+    else:
+        if k < len(num):
+            num = num[:k]
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = [x // g for x in num]
     f = object.__new__(Poly)
     f.char, f.num, f.den = char, tuple(num), den
     return f
+
+
+def conv_add(acc: list, a, b) -> list:
+    """acc += a * b for int coefficient sequences, lowest degree first: acc
+    is extended as needed, updated in place and returned.  The one int
+    convolution, behind Poly.__mul__ and the mode engine's sums."""
+    if not a or not b:
+        return acc
+    n = len(a) + len(b) - 1 - len(acc)
+    if n > 0:
+        acc += [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return acc
 
 
 Scalar = Union[Fraction, Fp, Poly]
@@ -424,9 +443,7 @@ def numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[in
     d = {}
     if ring.formal:
         for j, x in items:
-            if not isinstance(x, Poly) or x.char != p:
-                raise RingMismatchError(f"{x!r} is not a polynomial over characteristic {p}")
-            if x:
+            if _is_poly(x, p):
                 d[j] = x
         return 1, d
     if p:
@@ -444,6 +461,35 @@ def numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[in
             d[j] = x
             den = lcm(den, x.denominator)
     return den, {j: x.numerator * (den // x.denominator) for j, x in d.items()}
+
+
+def _is_poly(x, p: int) -> bool:
+    """True for a nonzero Poly over characteristic p, False for its zero;
+    anything else raises RingMismatchError."""
+    if not isinstance(x, Poly) or x.char != p:
+        raise RingMismatchError(f"{x!r} is not a polynomial over characteristic {p}")
+    return bool(x.num)
+
+
+def poly_numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[int, dict]:
+    """(den, {key: int tuple}) for the nonzero scalars among (key, scalar)
+    pairs, each the polynomial sum_i (tuple[i] / den) h^i, with no trailing
+    zero.  Over Q[h] the tuples are ints over the lcm den of the Poly
+    denominators, over F_p[h] residues in [0, p) with den 1.  Over a base
+    field each scalar is a constant, a 1-tuple holding its numerator from
+    `numerators`.  Decode with poly_value over a formal ring and with
+    field_value of the one entry over a base field.
+
+    As strict as numerators: over a formal ring anything but a Poly over
+    the same base field raises RingMismatchError.
+    """
+    if not ring.formal:
+        den, nums = numerators(items, ring)
+        return den, {j: (v,) for j, v in nums.items()}
+    p = ring.char
+    polys = {j: x for j, x in items if _is_poly(x, p)}
+    den = lcm(*(x.den for x in polys.values()))
+    return den, {j: x.num if x.den == den else tuple(v * (den // x.den) for v in x.num) for j, x in polys.items()}
 
 
 def GF(p: int) -> Ring:

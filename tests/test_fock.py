@@ -414,6 +414,20 @@ def test_sigma_is_a_weight_preserving_bijection_up_to_weight_three():
         assert got == set(odds)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_sigma_halves_the_form_on_r_even_slices(ring):
+    # sigma appends a(0) (norm 1 -> 1/2) or contracts it (coefficient / 2,
+    # norm 1/2 -> 1), so it halves the form: (sigma x, sigma x) = (x, x) / 2.
+    for degree in range(6):
+        basis = sector_basis(RAMOND, 0, degree)
+        vectors = [FockVector(RAMOND, ring, {t: ring.one()}) for t in basis]
+        vectors.append(FockVector(RAMOND, ring, {t: ring.coerce(Fraction(2 * k + 1, 3)) for k, t in enumerate(basis)}))
+        for x in vectors:
+            assert fock_form(sigma(x), sigma(x)) == fock_form(x, x) / ring.of_int(2), (degree, x)
+        x, y = vectors[0], vectors[-1]
+        assert fock_form(sigma(x), sigma(y)) == fock_form(x, y) / ring.of_int(2), degree
+
+
 # -------------------------------------------------------------- the form
 
 def test_form_examples():

@@ -22,7 +22,7 @@ from conftest import fp_elements, fractions
 from virfock import linalg
 from virfock.fock import NS, RAMOND, FockVector, apply_virasoro_fock, fock_hw_vectors, sector_basis, vir_span_dims
 from virfock.linalg import SpanBuilder, det, joint_kernel, lowering_closure, nullspace, rank
-from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring, numerators
+from virfock.scalars import GF, QQ, Fp, RingMismatchError, formal_ring, numerators, poly_numerators
 from virfock.singular import singular_space
 from virfock.verma import VermaModule, VermaVector, partitions, verma_module
 
@@ -435,6 +435,11 @@ def _encode(rows, ring):
         numerators(enumerate(row), ring)
 
 
+def _encode_poly(rows, ring):
+    for row in rows:
+        poly_numerators(enumerate(row), ring)
+
+
 @pytest.mark.parametrize(
     "rows, ring",
     [
@@ -448,8 +453,8 @@ def _encode(rows, ring):
 )
 @pytest.mark.parametrize(
     "solve",
-    [rank, nullspace, det, _span_add, _span_contains, _encode],
-    ids=["rank", "nullspace", "det", "span-add", "span-contains", "numerators"],
+    [rank, nullspace, det, _span_add, _span_contains, _encode, _encode_poly],
+    ids=["rank", "nullspace", "det", "span-add", "span-contains", "numerators", "poly-numerators"],
 )
 def test_scalars_of_another_ring_are_rejected(rows, ring, solve):
     with pytest.raises(RingMismatchError):

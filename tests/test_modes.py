@@ -7,18 +7,21 @@ identities in a formal highest weight h, checks the commutator rule for
 composite modes against binomial expansions, and cross-validates the
 engine's divided-power states and truncation bounds with an independent
 wide-window evaluator on the raw-derivative normal form, where
-L(-n)1 = D^(n-2) w / (n-2)! and (D x)_m = -m x_{m-1}.
+L(-n)1 = D^(n-2) w / (n-2)! and (D x)_m = -m x_{m-1}.  The engine computes
+on int polynomials; the same recursion on ring scalars, `poly_engine_term`,
+checks it on every ring, and the memo's canonical int form is checked
+directly.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from virfock.lincomb import merge
 from virfock.scalars import GF, QQ, Poly, formal_ring
-from virfock.verma import VermaVector, verma_module
+from virfock.verma import VermaVector, partitions, verma_module
 from virfock.modes import (
     build_state,
     engine_for,
@@ -539,3 +542,135 @@ def test_divided_power_mode_is_the_recursion_over_a_factorial(a, n, target):
     got = mode_apply({(a,): Fraction(1)}, n, m.monomial(target), m).terms
     want = naive_term((a,), n, target, m)
     assert got == {q: cv / math.factorial(a) for q, cv in want.items()}
+
+
+# ---------------------------------------------------------------------------
+# The engine on ring scalars, as an oracle for the int engine
+# ---------------------------------------------------------------------------
+
+
+def poly_engine_term(t, m, part, module, memo):
+    """The mode t_m on a basis monomial by the engine's own recursion and
+    summation windows, but on ring scalars (Fraction, Fp or Poly) merged
+    term by term, with memo a plain dict of such term dicts."""
+    key = (t, m, part)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    ring = module.ring
+    d = sum(part)
+    if d + term_degree(t) - m - 1 < 0:
+        out = {}
+    elif not t:
+        out = {part: ring.one()} if m == -1 else {}
+    elif len(t) == 1:
+        a = t[0]
+        f = (-1) ** a * math.comb(m, a) if m >= 0 else math.comb(a - m - 1, a)
+        out = {}
+        f = ring.of_int(f)
+        if f:
+            merge(out, module._act(m - a - 1, part), f)
+    else:
+        x, y = (t[0],), t[1:]
+        dx, dy = term_degree(x), term_degree(y)
+        out = {}
+        for i in range(m - d - dy, 0):
+            poly_engine_compose(x, i, poly_engine_term(y, m - 1 - i, part, module, memo), out, module, memo)
+        for i in range(0, d + dx):
+            poly_engine_compose(y, m - 1 - i, poly_engine_term(x, i, part, module, memo), out, module, memo)
+    memo[key] = out
+    return out
+
+
+def poly_engine_compose(t, k, inner, acc, module, memo):
+    for q, cv in inner.items():
+        merge(acc, poly_engine_term(t, k, q, module, memo), cv)
+
+
+def poly_engine_apply(state, n, target, module):
+    memo = {}
+    out = {}
+    for t, c in state.items():
+        for part, cv in target.terms.items():
+            f = c * cv
+            if f:
+                merge(out, poly_engine_term(t, n, part, module, memo), f)
+    return out
+
+
+ORACLE_RINGS = [QQ, GF(7), formal_ring(0), formal_ring(3), formal_ring(7)]
+
+
+@st.composite
+def pbw_words(draw, degree):
+    """A word of negative modes L(-k), k <= 6, of total degree `degree` >= 2,
+    whose rightmost mode is not L(-1), which kills the vacuum."""
+    first = draw(st.integers(min_value=2, max_value=min(degree, 6)))
+    word = [-first]
+    degree -= first
+    while degree:
+        k = draw(st.integers(min_value=1, max_value=min(degree, 6)))
+        word.insert(0, -k)
+        degree -= k
+    return word
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_int_engine_matches_the_poly_engine(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS), label="ring")
+    c = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-22, 5), Fraction(7, 5), Fraction(0)]), label="c")
+    if ring.formal:
+        h = ring.h()
+    else:
+        h = data.draw(st.sampled_from([Fraction(1, 16), Fraction(5, 11), Fraction(4), Fraction(1, 2), Fraction(0)]), label="h")
+    m = verma_module(c, h, ring)
+    deg = data.draw(st.integers(min_value=2, max_value=8), label="state degree")
+    state = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="words")):
+        word = data.draw(pbw_words(deg), label="word")
+        coeff = ring.coerce(data.draw(st.sampled_from([1, 2, -1, 4, -5]), label="coeff"))
+        merge(state, build_state(word, ring), coeff)
+    d = data.draw(st.integers(min_value=0, max_value=4), label="target degree")
+    parts = data.draw(st.lists(st.sampled_from(partitions(d)), min_size=1, max_size=3, unique=True), label="parts")
+    target = VermaVector.zero()
+    for part in parts:
+        cv = ring.coerce(data.draw(st.sampled_from([Fraction(1), Fraction(-2, 5), Fraction(5, 4)]), label="target coeff"))
+        target = target + m.monomial(part).scale(cv)
+    # u_n maps degree d to d + deg - n - 1; keep the image degree in 0..4.
+    n = d + deg - 1 - data.draw(st.integers(min_value=0, max_value=4), label="image degree")
+    assert mode_apply(state, n, target, m).terms == poly_engine_apply(state, n, target, m)
+
+
+@pytest.mark.parametrize(
+    "ring,h",
+    [(QQ, Fraction(1, 16)), (QQ, Fraction(2, 3)), (GF(5), Fraction(2)), (formal_ring(0), "h"), (formal_ring(5), "h")],
+    ids=["Q-1/16", "Q-2/3", "F5", "Q[h]", "F5[h]"],
+)
+def test_memo_entries_are_canonical_int_polynomials(ring, h):
+    m = verma_module(Fraction(1, 2), ring.h() if h == "h" else h, ring)
+    eng = engine_for(m)
+    verify_annihilation(named_state("s", ring), m, 2, 4)
+    p = ring.char
+    assert eng._memo
+    for key, entry in eng._memo.items():
+        den, terms = entry
+        assert isinstance(den, int) and den >= 1, key
+        assert isinstance(terms, dict), key
+        for part, num in terms.items():
+            assert isinstance(num, tuple) and num and num[-1] != 0, (key, part)
+            assert all(isinstance(x, int) for x in num), (key, part)
+            if not ring.formal:
+                assert len(num) == 1, (key, part)
+            if p:
+                assert all(0 <= x < p for x in num), (key, part)
+        if p:
+            assert den == 1, key
+        elif terms:
+            assert math.gcd(den, *(x for num in terms.values() for x in num)) == 1, key
+    # A second call reads the memo; an in-place add into an entry would show.
+    target = m.monomial((2, 1)) + m.monomial((1, 1, 1)).scale(ring.coerce(Fraction(3, 2)))
+    first = mode_apply(named_state("s", ring), 3, target, m)
+    again = mode_apply(named_state("s", ring), 3, target, m)
+    assert first == again
+    assert first.terms == poly_engine_apply(named_state("s", ring), 3, target, m)

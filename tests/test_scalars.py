@@ -22,11 +22,14 @@ from virfock.scalars import (
     Ring,
     RingMismatchError,
     central_coeff,
+    conv_add,
     field_value,
     formal_ring,
     is_odd_prime,
     numerators,
     poly_eval,
+    poly_numerators,
+    poly_value,
     reduce_mod_p,
     scalar_from_json,
     scalar_to_json,
@@ -517,3 +520,59 @@ def test_numerators_and_field_value_round_trip(case):
 def test_field_value_inverts_a_denominator_over_fp():
     assert field_value(3, 5, 7) == Fp(3, 7) / Fp(5, 7)
     assert field_value(-6, 4, 0) == Fraction(-3, 2) and field_value(7, 1, 0) == Fraction(7)
+
+
+@st.composite
+def poly_codec_cases(draw):
+    """A ring, formal or not, and a list of its scalars, zeros included."""
+    ring = draw(st.sampled_from((*CODEC_RINGS, formal_ring(7))))
+    if ring.formal:
+        p = ring.char
+        scalars = st.lists(base_scalars(p), max_size=4).map(lambda cs: Poly(cs, p))
+        return ring, draw(st.lists(scalars, max_size=6))
+    return draw(codec_cases().filter(lambda case: not case[0].formal))
+
+
+@settings(max_examples=200)
+@given(case=poly_codec_cases())
+def test_poly_numerators_and_poly_value_round_trip(case):
+    ring, values = case
+    p = ring.char
+    den, nums = poly_numerators(enumerate(values), ring)
+    assert sorted(nums) == [k for k, x in enumerate(values) if x]
+    if p:
+        assert den == 1
+    elif ring.formal:
+        assert den == lcm(*(values[k].den for k in nums))
+    else:
+        assert den == lcm(*(Fraction(x).denominator for x in values if x))
+    for k, num in nums.items():
+        assert type(num) is tuple and num and num[-1] and all(type(x) is int for x in num)
+        if p:
+            assert all(0 <= x < p for x in num)
+        if ring.formal:
+            assert poly_value(num, den, p) == values[k]
+        else:
+            assert len(num) == 1
+            got, want = field_value(num[0], den, p), ring.coerce(values[k])
+            assert type(got) is type(want) and got == want
+    if nums and not p:
+        assert gcd(den, *(x for num in nums.values() for x in num)) == 1
+
+
+@given(
+    acc=st.lists(st.integers(-9, 9), max_size=4),
+    a=st.lists(st.integers(-9, 9), max_size=4),
+    b=st.lists(st.integers(-9, 9), max_size=4),
+)
+def test_conv_add_adds_the_product_in_place(acc, a, b):
+    want = [0] * max(len(acc), len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(acc):
+        want[i] += x
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    ta, tb, out = tuple(a), tuple(b), list(acc)
+    assert conv_add(out, ta, tb) is out
+    assert out[: len(want)] == want and not any(out[len(want):])
+    assert poly_value(out, 1, 0) == Poly(want, 0) == Poly(acc, 0) + Poly(a, 0) * Poly(b, 0)
