@@ -5,8 +5,9 @@ nonzero scalars.  `merge` is the one loop that adds one such dict of ring
 scalars into another; every module that accumulates scalar terms calls it.
 Sums kept in the int form of `scalars` are not scalar term dicts: the Gram
 recurrence (`verma`) and elimination (`linalg`) take int dot products, and
-the mode engine (`modes`) adds int polynomial products into lists through
-`scalars.conv_add`.  `LinComb` wraps a term dict with the arithmetic shared
+the Verma straightening (`verma`) and the mode engine (`modes`) add int
+polynomial products through the bucket sum in `scalars`
+(`add_products`, `normalized_sum`).  `LinComb` wraps a term dict with the arithmetic shared
 by the Verma and Fock vector classes.
 """
 

@@ -26,15 +26,16 @@ module graded in nonnegative degrees: u_n maps degree d to
 d + deg(u) - n - 1, so indices whose image degree would be negative
 contribute nothing.
 
-The engine computes on int polynomials in h, in the form of the codec in
+The engine computes on int polynomials in h, the canonical entries of
 `scalars`: a memo entry is (den, {partition: int tuple}), one denominator
 for the whole image (1 over F_p, where the ints are residues), and a
-base-field value is a 1-tuple.  The one-factor case encodes the Verma
-action once (`poly_numerators`) and scales it by the integer binomial; a
-product term adds each int convolution (`conv_add`) into a sum keyed by
-its denominator and normalizes the sums once per entry.  `apply` decodes
-once, to `Poly` values over a formal ring and `Fraction` or `Fp` values
-over a base field.
+base-field value is a 1-tuple.  The Verma straightening memo holds the
+same entries, so the one-factor case scales the Verma action's entry by
+the integer binomial (`scale_entry`); a product term adds each int
+product into buckets keyed by denominator (`add_products`) and normalizes
+them once per entry (`normalized_sum`).  `apply` encodes its state and
+target once and decodes once (`entry_values`), to `Poly` values over a
+formal ring and `Fraction` or `Fp` values over a base field.
 
 The degree-6 state s and the degree-4 state u that drive the c = 1/2
 classification and its characteristic-7 degeneration are provided as named
@@ -45,11 +46,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .lincomb import merge
-from .scalars import QQ, Ring, Scalar, conv_add, field_value, poly_numerators, poly_value
+from .scalars import (
+    QQ,
+    ZERO_ENTRY,
+    Buckets,
+    Entry,
+    Ring,
+    Scalar,
+    add_products,
+    conv_add,
+    entry_values,
+    normalized_sum,
+    poly_numerators,
+    scale_entry,
+)
 from .verma import (
     Partition,
     VermaModule,
@@ -133,21 +146,14 @@ def named_state_verma(name: str, module: VermaModule) -> VermaVector:
     return acc
 
 
-IntTerms = Dict[Partition, Tuple[int, ...]]
-Entry = Tuple[int, IntTerms]
-
-
 class ModeEngine:
     """Evaluator of state modes on one Verma module, memoized per
     (term, mode, basis monomial).
 
-    Memo entries are in the int form of `scalars.poly_numerators`: (den,
+    Memo entries are canonical entries of `scalars` (`Entry`): (den,
     {partition: int tuple}), each coefficient the polynomial in h with
-    coefficients tuple[i] / den (1-tuples over a base field).  An entry is
-    canonical: no tuple is empty or ends in 0, den is 1 over F_p with
-    residues in [0, p), and over Q den shares no factor with all the
-    numerators.  The tuples are immutable, so sums are built in fresh lists
-    and never alias an entry.  Only `apply` decodes, once, at the end.
+    coefficients tuple[i] / den (1-tuples over a base field), as in the
+    Verma module's own memo.  Only `apply` decodes, once, at the end.
     """
 
     def __init__(self, module: VermaModule):
@@ -162,99 +168,45 @@ class ModeEngine:
             return hit
         d = sum(part)
         if d + term_degree(t) - m - 1 < 0:
-            out: Entry = (1, {})
+            out = ZERO_ENTRY
         elif not t:
-            out = (1, {part: (1,)} if m == -1 else {})
+            out = (1, {part: (1,)}) if m == -1 else ZERO_ENTRY
         elif len(t) == 1:
             a = t[0]
             f = (-1) ** a * math.comb(m, a) if m >= 0 else math.comb(a - m - 1, a)
-            out = _scaled(poly_numerators(self.module._act(m - a - 1, part).items(), self.ring), f, self.ring.char)
+            out = scale_entry(self.module._act(m - a - 1, part), f, self.ring.char)
         else:
             x, y = (t[0],), t[1:]
             dx, dy = term_degree(x), term_degree(y)
-            buckets: Dict[int, Dict[Partition, list]] = {}
+            buckets: Buckets = {}
             for i in range(m - d - dy, 0):
                 self._compose(x, i, self._term(y, m - 1 - i, part), buckets)
             for i in range(0, d + dx):
                 self._compose(y, m - 1 - i, self._term(x, i, part), buckets)
-            out = _normalized(buckets, self.ring.char)
+            out = normalized_sum(buckets, self.ring.char)
         self._memo[key] = out
         return out
 
-    def _compose(self, t: StateTerm, k: int, inner: Entry, buckets: Dict[int, Dict[Partition, list]]) -> None:
+    def _compose(self, t: StateTerm, k: int, inner: Entry, buckets: Buckets) -> None:
         """Add t_k applied to the inner image into buckets keyed by the
         product of the two denominators."""
         d1, terms = inner
         for q, a in terms.items():
             d2, image = self._term(t, k, q)
             if image:
-                _add_products(buckets.setdefault(d1 * d2, {}), a, image)
+                add_products(buckets.setdefault(d1 * d2, {}), a, image)
 
     def apply(self, state: StateWord, n: int, target: VermaVector) -> VermaVector:
         ring = self.ring
         ds, cs = poly_numerators(state.items(), ring)
         dv, vs = poly_numerators(target.terms.items(), ring)
-        buckets: Dict[int, Dict[Partition, list]] = {}
+        buckets: Buckets = {}
         for t, c in cs.items():
             for part, cv in vs.items():
                 d, image = self._term(t, n, part)
                 if image:
-                    _add_products(buckets.setdefault(ds * dv * d, {}), conv_add([], c, cv), image)
-        den, terms = _normalized(buckets, ring.char)
-        if ring.formal:
-            return VermaVector({q: poly_value(v, den, ring.char) for q, v in terms.items()})
-        return VermaVector({q: field_value(v[0], den, ring.char) for q, v in terms.items()})
-
-
-def _add_products(acc: Dict[Partition, list], a, image: IntTerms) -> None:
-    """acc[r] += a * b for every (r, b) of image, in fresh lists."""
-    for r, b in image.items():
-        s = acc.get(r)
-        if s is None:
-            acc[r] = conv_add([], a, b)
-        else:
-            conv_add(s, a, b)
-
-
-def _scaled(entry: Entry, f: int, p: int) -> Entry:
-    """An encoded entry times the integer f, in canonical form."""
-    if f == 1:
-        return entry
-    den, terms = entry
-    return _normalized({den: {q: [x * f for x in v] for q, v in terms.items()}}, p)
-
-
-def _normalized(buckets: Dict[int, Dict[Partition, list]], p: int) -> Entry:
-    """The canonical entry for a sum kept in buckets keyed by denominator:
-    every bucket brought to the lcm of the keys, residues reduced mod p,
-    zero and trailing-zero terms dropped, and over Q the gcd of the
-    denominator and all numerators divided out."""
-    if len(buckets) == 1:
-        ((den, acc),) = buckets.items()
-    else:
-        den = lcm(*buckets)
-        acc = {}
-        for d, terms in buckets.items():
-            f = (den // d,)
-            for r, v in terms.items():
-                conv_add(acc.setdefault(r, []), f, v)
-    out: Dict[Partition, list] = {}
-    g = den
-    for r, v in acc.items():
-        if p:
-            v = [x % p for x in v]
-        k = len(v)
-        while k and not v[k - 1]:
-            k -= 1
-        if k:
-            out[r] = v if k == len(v) else v[:k]
-            if g != 1:
-                g = gcd(g, *v)
-    if not out:
-        return 1, {}
-    if g == 1:
-        return den, {r: tuple(v) for r, v in out.items()}
-    return den // g, {r: tuple(x // g for x in v) for r, v in out.items()}
+                    add_products(buckets.setdefault(ds * dv * d, {}), conv_add([], c, cv), image)
+        return VermaVector(entry_values(normalized_sum(buckets, ring.char), ring))
 
 
 def engine_for(module) -> ModeEngine:

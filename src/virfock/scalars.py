@@ -22,6 +22,14 @@ another ring.  ``field_value`` builds the Fraction or Fp for an int
 numerator over a denominator, ``poly_value`` the canonical Poly for an int
 tuple over one, and ``conv_add`` is the one int polynomial product.
 
+The Verma straightening memo and the mode engine both hold canonical
+entries (den, {key: int tuple}), the output of ``poly_numerators``, and
+both compute on them through the one int-sum kernel here:
+``add_products`` adds products into buckets keyed by denominator,
+``normalized_sum`` brings the buckets to one canonical entry,
+``scale_entry`` multiplies an entry by an integer, and ``entry_values``
+decodes an entry into Poly, Fraction or Fp values.
+
 A ``Ring`` value describes which carrier is in play.  Characteristic 2 is
 rejected everywhere because 2 must stay invertible for the central term
 (m^3 - m)/12 and for the fermionic normal ordering constants.
@@ -34,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Tuple, Union
+from typing import Dict, Hashable, Iterable, Tuple, Union
 
 
 class CharacteristicTwoError(ValueError):
@@ -490,6 +498,92 @@ def poly_numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tup
     polys = {j: x for j, x in items if _is_poly(x, p)}
     den = lcm(*(x.den for x in polys.values()))
     return den, {j: x.num if x.den == den else tuple(v * (den // x.den) for v in x.num) for j, x in polys.items()}
+
+
+# An entry is the output of poly_numerators in canonical form: no tuple is
+# empty or ends in 0, den is 1 over F_p with residues in [0, p), and over Q
+# den shares no factor with all the numerators.  Its tuples are immutable.
+# A sum is kept in buckets keyed by denominator, in lists the sum owns, so
+# no sum aliases an entry.
+Entry = Tuple[int, Dict[Hashable, Tuple[int, ...]]]
+Buckets = Dict[int, Dict[Hashable, list]]
+# The zero entry, shared by every zero result: no code writes to an entry.
+ZERO_ENTRY: Entry = (1, {})
+
+
+def add_products(acc: Dict[Hashable, list], a, image: Dict[Hashable, tuple]) -> None:
+    """acc[r] += a * b for every (r, b) of image, a and b int tuples, in
+    lists acc owns.  A constant a, every factor over a base field, adds a
+    multiple of b (`_add_multiple`) instead of a convolution."""
+    add = _add_multiple if len(a) == 1 else conv_add
+    for r, b in image.items():
+        s = acc.get(r)
+        if s is None:
+            acc[r] = add([], a, b)
+        else:
+            add(s, a, b)
+
+
+def _add_multiple(acc: list, a, b) -> list:
+    """conv_add for a constant a = (f,): acc += f * b."""
+    f = a[0]
+    n = len(acc)
+    for j, y in enumerate(b):
+        if j < n:
+            acc[j] += f * y
+        else:
+            acc.append(f * y)
+    return acc
+
+
+def scale_entry(entry: Entry, f: int, p: int) -> Entry:
+    """An entry times the integer f, in canonical form."""
+    if f == 1:
+        return entry
+    den, terms = entry
+    return normalized_sum({den: {q: [x * f for x in v] for q, v in terms.items()}}, p)
+
+
+def normalized_sum(buckets: Buckets, p: int) -> Entry:
+    """The canonical entry for a sum kept in buckets keyed by denominator:
+    every bucket brought to the lcm of the keys, residues reduced mod p,
+    zero and trailing-zero terms dropped, and over Q the gcd of the
+    denominator and all numerators divided out.  The bucket lists are
+    consumed."""
+    if len(buckets) == 1:
+        ((den, acc),) = buckets.items()
+    else:
+        den = lcm(*buckets)
+        acc = {}
+        for d, terms in buckets.items():
+            add_products(acc, (den // d,), terms)
+    out: Dict[Hashable, tuple] = {}
+    g = den
+    for r, v in acc.items():
+        if p:
+            v = [x % p for x in v]
+        while v and not v[-1]:
+            v.pop()
+        if not v:
+            continue
+        out[r] = v = tuple(v)
+        if g != 1:
+            g = gcd(g, *v)
+    if not out:
+        return ZERO_ENTRY
+    if g == 1:
+        return den, out
+    return den // g, {r: tuple(x // g for x in v) for r, v in out.items()}
+
+
+def entry_values(entry: Entry, ring: Ring) -> dict:
+    """The one decoder of an entry: {key: Poly} over a formal ring, {key:
+    Fraction or Fp} over a base field."""
+    den, terms = entry
+    p = ring.char
+    if ring.formal:
+        return {q: poly_value(v, den, p) for q, v in terms.items()}
+    return {q: field_value(v[0], den, p) for q, v in terms.items()}
 
 
 def GF(p: int) -> Ring:

@@ -9,14 +9,18 @@ V(c, h) has the PBW basis L(-n1)...L(-nk) v indexed by partitions
 (n1 >= ... >= nk >= 1); the mode action is computed by recursive
 straightening (commuting positive modes to the right until they hit the
 highest weight vector) and memoized per module on (mode, partition) pairs,
-so singular-vector and Gram computations share all straightening work.
+so singular-vector, Gram and mode-engine computations share all
+straightening work.  The memo holds int polynomials in h, the canonical
+entries (den, {partition: int tuple}) of `scalars` (1-tuples over a base
+field, den 1 with residues over F_p), and each straightening step is one
+bucket sum of them (`add_products`, `normalized_sum`); `apply_mode`
+encodes its vector once and decodes its image once (`entry_values`).
 Gram matrices are built from that memo by the adjointness recurrence over
 degrees and cached per module, each degree once.  The recurrence runs on
 plain ints: a GramMatrix holds integer rows over one common denominator
-over Q and residues over F_p (Poly entries over a formal ring), and its
-Fraction, Fp or Poly entries are a view built when read.  The int form is
-that of the codec in `scalars`: `numerators` splits each straightened
-column into it, and `field_value` builds the entries back.
+over Q and residues over F_p (Poly entries over a formal ring), read
+straight from the memo entries, and its Fraction, Fp or Poly entries are
+a view built when read (`field_value`).
 
 Every computation here is pure: vectors are immutable maps from partitions
 to scalars, and independent degrees may be processed in any order.
@@ -32,11 +36,18 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .lincomb import LinComb, merge
 from .scalars import (
     QQ,
+    ZERO_ENTRY,
+    Buckets,
+    Entry,
     Ring,
     Scalar,
+    add_products,
     central_coeff,
+    entry_values,
     field_value,
+    normalized_sum,
     numerators,
+    poly_numerators,
     scalar_from_json,
     scalar_to_json,
 )
@@ -190,7 +201,8 @@ class VermaModule:
         self.c = ring.coerce(c)
         self.h = ring.coerce(h)
         self._one = ring.one()
-        self._memo: Dict[Tuple[int, Partition], Dict[Partition, Scalar]] = {}
+        self._h = poly_numerators([((), self.h)], ring)
+        self._memo: Dict[Tuple[int, Partition], Entry] = {}
         self._gram: Dict[int, GramMatrix] = {}
 
     @property
@@ -217,50 +229,62 @@ class VermaModule:
 
     # straightening core
 
-    def _act(self, n: int, parts: Partition) -> Dict[Partition, Scalar]:
-        """Action of L(n) on a basis monomial, as a raw term dict."""
+    def _act(self, n: int, parts: Partition) -> Entry:
+        """Action of L(n) on a basis monomial, as a canonical entry (den,
+        {partition: int tuple}) of the int form in `scalars`."""
         key = (n, parts)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if not parts:
             if n > 0:
-                out: Dict[Partition, Scalar] = {}
+                out = ZERO_ENTRY
             elif n == 0:
-                out = {(): self.h} if self.h else {}
+                out = self._h
             else:
-                out = {(-n,): self._one}
+                out = (1, {(-n,): (1,)})
         elif n <= -parts[0]:
-            out = {(-n,) + parts: self._one}
+            out = (1, {(-n,) + parts: (1,)})
         else:
             m1 = parts[0]
             tail = parts[1:]
+            ring = self.ring
+            p = ring.char
             # L(n) L(-m1) = L(-m1) L(n) + (n+m1) L(n-m1) + delta_{n,m1} cc(n) c
-            out = self._prepend(m1, self._act(n, tail))
-            k = self.ring.of_int(n + m1)
+            # summed in buckets keyed by denominator.  The first term puts
+            # L(-m1) in front where the order allows and restraightens the
+            # rest.
+            d, terms = self._act(n, tail)
+            front = {(m1,) + q: list(a) for q, a in terms.items() if not q or m1 >= q[0]}
+            buckets: Buckets = {d: front} if front else {}
+            for q, a in terms.items():
+                if q and m1 < q[0]:
+                    d2, image = self._act(-m1, q)
+                    if image:
+                        add_products(buckets.setdefault(d * d2, {}), a, image)
+            k = (n + m1) % p if p else n + m1
             if k:
-                merge(out, self._act(n - m1, tail), k)
+                d2, image = self._act(n - m1, tail)
+                if image:
+                    add_products(buckets.setdefault(d2, {}), (k,), image)
             if n == m1:
-                z = central_coeff(n, self.ring) * self.c
+                dz, z = poly_numerators([(tail, central_coeff(n, ring) * self.c)], ring)
                 if z:
-                    merge(out, {tail: self._one}, z)
+                    add_products(buckets.setdefault(dz, {}), (1,), z)
+            out = normalized_sum(buckets, p)
         self._memo[key] = out
-        return out
-
-    def _prepend(self, m1: int, terms: Dict[Partition, Scalar]) -> Dict[Partition, Scalar]:
-        """Left multiply by L(-m1), restraightening where the order breaks."""
-        out = {(m1,) + p: cv for p, cv in terms.items() if not p or m1 >= p[0]}
-        for p, cv in terms.items():
-            if p and m1 < p[0]:
-                merge(out, self._act(-m1, p), cv)
         return out
 
     def apply_mode(self, n: int, vec: VermaVector) -> VermaVector:
         """L(n) applied to a vector.  Degree m maps to degree m - n."""
-        out: Dict[Partition, Scalar] = {}
-        for p, cv in vec.terms.items():
-            merge(out, self._act(n, p), cv)
-        return VermaVector(out)
+        ring = self.ring
+        dv, vs = poly_numerators(vec.terms.items(), ring)
+        buckets: Buckets = {}
+        for q, a in vs.items():
+            d, image = self._act(n, q)
+            if image:
+                add_products(buckets.setdefault(dv * d, {}), a, image)
+        return VermaVector(entry_values(normalized_sum(buckets, ring.char), ring))
 
     def apply_word(self, modes: Sequence[int], vec: VermaVector) -> VermaVector:
         """Apply the operator product L(modes[0]) L(modes[1]) ... , i.e. the
@@ -294,8 +318,9 @@ class VermaModule:
 
         Entry (lambda, mu) with lambda = (k, lambda') is the dot product of
         the lower slice's row lambda', num / den, with the column
-        L(k) L(-mu) v, split once into numerators over its own denominator
-        d.  Every column is rescaled to one slice denominator, the lcm of
+        L(k) L(-mu) v, whose memo entry gives its numerators over its own
+        denominator d (decoded to Poly values over a formal ring).  Every
+        column is rescaled to one slice denominator, the lcm of
         the products den * d, so each entry is one int dot product: reduced
         mod p over F_p, and over Q the content shared by that denominator and
         all entries is divided out at the end.  Over a formal ring every
@@ -313,8 +338,12 @@ class VermaModule:
             index = {nu: j for j, nu in enumerate(lower.basis)}
             cols = []
             for mu in basis:
-                d, nums = numerators(self._act(k, mu).items(), ring)
-                cols.append((d * lower.den, [(index[nu], x) for nu, x in nums.items()]))
+                d, nums = self._act(k, mu)
+                if ring.formal:
+                    d, col = 1, [(index[nu], x) for nu, x in entry_values((d, nums), ring).items()]
+                else:
+                    col = [(index[nu], v[0]) for nu, v in nums.items()]
+                cols.append((d * lower.den, col))
                 den = lcm(den, d * lower.den)
             blocks.append((k, lower, index, cols))
         zero = ring.zero() if ring.formal else 0

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_verma import assert_canonical_entry, scalar_act
 from virfock.lincomb import merge
 from virfock.scalars import GF, QQ, Poly, formal_ring
 from virfock.verma import VermaVector, partitions, verma_module
@@ -552,7 +553,8 @@ def test_divided_power_mode_is_the_recursion_over_a_factorial(a, n, target):
 def poly_engine_term(t, m, part, module, memo):
     """The mode t_m on a basis monomial by the engine's own recursion and
     summation windows, but on ring scalars (Fraction, Fp or Poly) merged
-    term by term, with memo a plain dict of such term dicts."""
+    term by term over the scalar straightening oracle `scalar_act`, with
+    memo a plain dict of such term dicts."""
     key = (t, m, part)
     hit = memo.get(key)
     if hit is not None:
@@ -569,7 +571,7 @@ def poly_engine_term(t, m, part, module, memo):
         out = {}
         f = ring.of_int(f)
         if f:
-            merge(out, module._act(m - a - 1, part), f)
+            merge(out, scalar_act(module, m - a - 1, part), f)
     else:
         x, y = (t[0],), t[1:]
         dx, dy = term_degree(x), term_degree(y)
@@ -651,23 +653,9 @@ def test_memo_entries_are_canonical_int_polynomials(ring, h):
     m = verma_module(Fraction(1, 2), ring.h() if h == "h" else h, ring)
     eng = engine_for(m)
     verify_annihilation(named_state("s", ring), m, 2, 4)
-    p = ring.char
     assert eng._memo
     for key, entry in eng._memo.items():
-        den, terms = entry
-        assert isinstance(den, int) and den >= 1, key
-        assert isinstance(terms, dict), key
-        for part, num in terms.items():
-            assert isinstance(num, tuple) and num and num[-1] != 0, (key, part)
-            assert all(isinstance(x, int) for x in num), (key, part)
-            if not ring.formal:
-                assert len(num) == 1, (key, part)
-            if p:
-                assert all(0 <= x < p for x in num), (key, part)
-        if p:
-            assert den == 1, key
-        elif terms:
-            assert math.gcd(den, *(x for num in terms.values() for x in num)) == 1, key
+        assert_canonical_entry(entry, ring, key)
     # A second call reads the memo; an in-place add into an entry would show.
     target = m.monomial((2, 1)) + m.monomial((1, 1, 1)).scale(ring.coerce(Fraction(3, 2)))
     first = mode_apply(named_state("s", ring), 3, target, m)

@@ -5,12 +5,22 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ODD_PRIMES, fractions
+from virfock.lincomb import merge
 from virfock.linalg import det
-from virfock.scalars import GF, QQ, DenominatorDivisibleByP, Fp, RingMismatchError, central_coeff, formal_ring
-from virfock.singular import radical_basis
+from virfock.scalars import (
+    GF,
+    QQ,
+    DenominatorDivisibleByP,
+    Fp,
+    RingMismatchError,
+    central_coeff,
+    entry_values,
+    formal_ring,
+)
+from virfock.singular import radical_basis, singular_space
 from virfock.verma import VermaModule, VermaVector, partitions, verma_dim, verma_module
 
 SAMPLE_PARAMS = [
@@ -23,6 +33,144 @@ SAMPLE_PARAMS = [
 
 def q_module(c, h):
     return verma_module(Fraction(c), Fraction(h), QQ)
+
+
+# ------------------------------------------------------------ straightening oracle
+
+_SCALAR_MEMOS = {}
+
+
+def scalar_act(module, n, parts):
+    """L(n) on a basis monomial of module as a term dict of ring scalars
+    (Fraction, Fp or Poly), straightened recursively with every sum merged
+    term by term.  This is the engine's straightening on scalars, kept as an
+    oracle for its int form; the memo is per module."""
+    memo = _SCALAR_MEMOS.setdefault(module, {})
+    key = (n, parts)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    one = module.ring.one()
+    if not parts:
+        if n > 0:
+            out = {}
+        elif n == 0:
+            out = {(): module.h} if module.h else {}
+        else:
+            out = {(-n,): one}
+    elif n <= -parts[0]:
+        out = {(-n,) + parts: one}
+    else:
+        m1 = parts[0]
+        tail = parts[1:]
+        # L(n) L(-m1) = L(-m1) L(n) + (n+m1) L(n-m1) + delta_{n,m1} cc(n) c
+        out = _scalar_prepend(module, m1, scalar_act(module, n, tail))
+        k = module.ring.of_int(n + m1)
+        if k:
+            merge(out, scalar_act(module, n - m1, tail), k)
+        if n == m1:
+            z = central_coeff(n, module.ring) * module.c
+            if z:
+                merge(out, {tail: one}, z)
+    memo[key] = out
+    return out
+
+
+def _scalar_prepend(module, m1, terms):
+    """Left multiply by L(-m1), restraightening where the order breaks."""
+    out = {(m1,) + p: cv for p, cv in terms.items() if not p or m1 >= p[0]}
+    for p, cv in terms.items():
+        if p and m1 < p[0]:
+            merge(out, scalar_act(module, -m1, p), cv)
+    return out
+
+
+ACT_RINGS = [QQ, GF(3), GF(7), formal_ring(0), formal_ring(7)]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_int_straightening_matches_the_scalar_oracle(data):
+    ring = data.draw(st.sampled_from(ACT_RINGS), label="ring")
+    c = data.draw(st.sampled_from([Fraction(1, 2), Fraction(7, 3), Fraction(-22, 5), Fraction(-2)]), label="c")
+    if ring.formal:
+        h = ring.h()
+    else:
+        h = data.draw(st.sampled_from([Fraction(0), Fraction(1, 16), Fraction(1, 2), Fraction(-1, 5), Fraction(5, 11)]), label="h")
+    try:
+        mod = VermaModule(c, h, ring)
+    except DenominatorDivisibleByP:
+        assume(False)
+    n = data.draw(st.integers(min_value=-6, max_value=6), label="n")
+    parts = data.draw(st.sampled_from(partitions(data.draw(st.integers(0, 8), label="degree"))), label="parts")
+    mod._act(n, parts)
+    # The fresh memo holds every entry the recursion reached.
+    for key, entry in mod._memo.items():
+        got, want = entry_values(entry, ring), scalar_act(mod, *key)
+        assert got == want, key
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()], key
+
+
+@pytest.mark.parametrize(
+    "c,h,ring",
+    [
+        (Fraction(1, 2), Fraction(1, 16), QQ),
+        (Fraction(-2), Fraction(3, 8), QQ),
+        (Fraction(-22, 5), Fraction(-1, 5), QQ),
+        (Fraction(1, 2), Fraction(1, 2), GF(3)),
+        (Fraction(7, 3), Fraction(5, 11), GF(5)),
+        (Fraction(7, 3), None, formal_ring(0)),
+        (Fraction(-2), None, formal_ring(5)),
+    ],
+    ids=["Q", "Q-c-2", "Q-c-22_5", "F3", "F5", "Q[h]", "F5[h]"],
+)
+def test_straightening_memo_entries_are_canonical(c, h, ring):
+    mod = VermaModule(c, ring.h() if h is None else h, ring)
+    mod.gram_matrix(8)
+    if ring.formal:
+        # No kernel over Q[h]; singular_space's L(1), L(2) pass instead.
+        for m in (1, 2):
+            for q in partitions(6):
+                mod.apply_mode(m, mod.monomial(q))
+    else:
+        singular_space(mod, 6)
+    assert mod._memo
+    for key, entry in mod._memo.items():
+        assert_canonical_entry(entry, ring, key)
+        assert entry_values(entry, ring) == scalar_act(mod, *key), key
+
+
+@pytest.mark.parametrize(
+    "ring,alien",
+    [(QQ, Fp(1, 7)), (GF(7), Fraction(1, 2)), (GF(7), Fp(1, 5)), (formal_ring(0), Fraction(1, 2))],
+    ids=["Q-Fp", "F7-Fraction", "F7-F5", "Q[h]-Fraction"],
+)
+def test_apply_mode_rejects_a_scalar_of_another_ring(ring, alien):
+    mod = VermaModule(Fraction(1, 2), ring.h() if ring.formal else Fraction(1, 16), ring)
+    with pytest.raises(RingMismatchError):
+        mod.apply_mode(1, VermaVector({(2,): alien}))
+    with pytest.raises(RingMismatchError):
+        mod.apply_mode(1, mod.monomial((2,)) + VermaVector({(1, 1): alien}))
+
+
+def assert_canonical_entry(entry, ring, key):
+    """entry is a canonical int polynomial entry (den, {key: int tuple})
+    over ring, the form shared by the straightening and mode memos."""
+    den, terms = entry
+    p = ring.char
+    assert isinstance(den, int) and den >= 1, key
+    assert isinstance(terms, dict), key
+    for part, num in terms.items():
+        assert isinstance(num, tuple) and num and num[-1] != 0, (key, part)
+        assert all(type(x) is int for x in num), (key, part)
+        if not ring.formal:
+            assert len(num) == 1, (key, part)
+        if p:
+            assert all(0 <= x < p for x in num), (key, part)
+    if p:
+        assert den == 1, key
+    elif terms:
+        assert gcd(den, *(x for num in terms.values() for x in num)) == 1, key
 
 
 # ------------------------------------------------------------ dimensions
