@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .lincomb import LinComb, merge, reduce_terms_mod_p
 from .linalg import joint_kernel, lowering_closure
-from .scalars import GF, QQ, Ring, Scalar, scalar_to_json, scalar_from_json
+from .scalars import GF, QQ, Ring, Scalar, numerators, scalar_to_json, scalar_from_json
 
 FockMonomial = Tuple[int, ...]
 
@@ -345,7 +345,8 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
         raise ValueError(f"no {sector} parity-{parity} monomials of weight {weight}")
     basis = sector_basis(sector, parity, degree)
     one = ring.one()
-    maps = [[apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms for t in basis] for m in (1, 2)]
+    maps = [[numerators(apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms.items(), ring) for t in basis]
+            for m in (1, 2)]
     return [FockVector(sector, ring, terms).normalized() for terms in joint_kernel(basis, maps, ring)]
 
 

@@ -1,12 +1,17 @@
 """Exact linear algebra over Q and F_p.
 
-Every entry point first turns its rows into sparse {key: int} dicts without
-zero entries through the codec in `scalars`, whose `numerators` also
-rejects scalars of another ring: over F_p the entries are residues in
-[0, p), over Q each row is multiplied by the lcm of its denominators.
-Scaling a row by a nonzero rational changes neither the row space nor the
-kernel, so scalars are built again, by `field_value`, only where a result
-is returned: nullspace's vectors, det's quotient and SpanBuilder's basis.
+rank and nullspace take int rows, dense int sequences or {column: int}
+dicts: over Q integer numerators, over F_p any ints, reduced mod p.
+Scaling a row by a nonzero rational changes neither the rank nor the
+kernel, so a row of rationals is passed times a common denominator and
+no denominator is needed; a Gram slice's `num` is such a matrix already.
+A formal ring, checked first, or a non-int entry raises
+RingMismatchError.  det and SpanBuilder take scalars, turned into int
+rows through the codec in `scalars`, whose `numerators` also rejects
+scalars of another ring: a determinant changes when a row is scaled, and
+SpanBuilder's callers hold scalar term dicts.  Scalars are built, by
+`field_value`, only where a result is returned: nullspace's vectors,
+det's quotient and SpanBuilder's basis.
 
 There is one sparse reduction loop, `_reduce`, the same over both fields.
 A row is reduced against the pivot rows by its smallest key until it is
@@ -33,15 +38,18 @@ residual matrix, found by the same routine.  The basis is exactly the one
 a full echelon gives (see nullspace); rank, det and SpanBuilder reduce
 every row fully.
 
-SpanBuilder, joint_kernel and lowering_closure take and give sparse term
-dicts {basis key: nonzero scalar}, the `terms` of every vector class, so
-linalg never handles a vector class and callers never build coordinate rows.
+joint_kernel takes each image of a basis vector as a numerator pair
+(den, {target key: int}), the form of a straightening memo entry, and
+gives its kernel as term dicts {basis key: nonzero scalar}; SpanBuilder
+and lowering_closure take and give term dicts, the `terms` of every
+vector class.  So linalg never handles a vector class and callers never
+build coordinate rows.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .lincomb import Terms
@@ -49,8 +57,8 @@ from .scalars import Ring, RingMismatchError, Scalar, field_value, numerators
 
 SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
 Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
-Rowlike = Union[Sequence[Scalar], Dict[int, Scalar]]  # a dense row, or {column: scalar}
-IntVector = Tuple[int, Dict[int, int]]  # (den, {column: int}): the vector {column: int / den}; den is 1 over F_p
+IntRow = Union[Sequence[int], Dict[int, int]]  # a dense int row, or {column: int}
+IntVector = Tuple[int, Dict[Hashable, int]]  # (den, {key: int}): the vector {key: int / den}; den is 1 over F_p
 
 # Pivot rows a row may subtract in nullspace's echelon before it is deferred
 # to the kernel check; rank, det and SpanBuilder reduce every row fully.
@@ -66,10 +74,18 @@ def _field_char(ring: Ring) -> int:
     return ring.char
 
 
-def _sparse_rows(rows: Sequence[Rowlike], ring: Ring) -> List[SparseRow]:
-    """Dense rows or {column: scalar} dicts as {column: int} dicts."""
-    _field_char(ring)
-    return [numerators(row.items() if isinstance(row, dict) else enumerate(row), ring)[1] for row in rows]
+def _int_row(row: IntRow, p: int) -> SparseRow:
+    """An int row, dense or {column: int}, as a {column: int} dict without
+    zero entries, reduced mod p over F_p, in one pass; RingMismatchError
+    for any entry that is not an int."""
+    out = {}
+    for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+        if not isinstance(x, int):
+            raise RingMismatchError(f"{x!r} is not an int row entry")
+        x = x % p if p else x
+        if x:
+            out[j] = x
+    return out
 
 
 def _reduce(
@@ -172,18 +188,11 @@ def _sparse_echelon(
     return pivots, leads
 
 
-def rank(rows: Sequence[Sequence[Scalar]], ring: Ring) -> int:
-    """Rank of a matrix given as a list of rows of ring scalars."""
-    if not rows or not rows[0]:
-        return 0
-    return len(_sparse_echelon(_sparse_rows(rows, ring), ring.char)[0])
-
-
-def _nonzero(row: Dict[int, int], p: int) -> SparseRow:
-    """row's entries, reduced mod p over F_p, without the zero ones."""
-    if p:
-        return {j: v % p for j, v in row.items() if v % p}
-    return {j: v for j, v in row.items() if v}
+def rank(rows: Sequence[IntRow], ring: Ring) -> int:
+    """Rank of a matrix given as int rows, dense or {column: int}: integer
+    numerators over Q, any ints over F_p."""
+    p = _field_char(ring)
+    return len(_sparse_echelon([_int_row(row, p) for row in rows], p)[0])
 
 
 def _back_substitute(pivots: Pivots, ncols: int, p: int) -> List[IntVector]:
@@ -238,7 +247,7 @@ def _kernel(rows: List[SparseRow], ncols: int, p: int) -> List[IntVector]:
         for j, d in rows[i].items():
             for k, v in by_col.get(j, ()):
                 r[k] = r.get(k, 0) + d * v
-        r = _nonzero(r, p)
+        r = _int_row(r, p)
         if r:
             residuals.append(r)
     if not residuals:
@@ -255,15 +264,16 @@ def _kernel(rows: List[SparseRow], ncols: int, p: int) -> List[IntVector]:
         for k, w in z.items():
             for j, v in basis[k][1].items():
                 acc[j] = acc.get(j, 0) + w * v
-        out.append((dz * basis[g][0], _nonzero(acc, p)))
+        out.append((dz * basis[g][0], _int_row(acc, p)))
     return out
 
 
-def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
-    """Basis of the right null space {x : A x = 0}.
+def nullspace(rows: Sequence[IntRow], ring: Ring, ncols: int | None = None) -> List[List[Scalar]]:
+    """Basis of the right null space {x : A x = 0}, as Fraction or Fp
+    vectors.
 
-    Rows are dense rows of ring scalars, or {column: scalar} dicts when
-    ncols is given.
+    Rows are int rows, as rank takes them: dense, or {column: int} dicts
+    when ncols is given.  With no rows every column is free.
 
     One basis vector per free column, in increasing column order, each with
     a 1 in its free coordinate and 0 in the other free coordinates.  Q and
@@ -286,38 +296,41 @@ def nullspace(rows: Sequence[Rowlike], ring: Ring, ncols: int | None = None) -> 
     columns of A are the columns of K0 picked by the free columns of
     D.K0, and a basis with unit free coordinates is unique.
     """
+    p = _field_char(ring)
+    sparse = [_int_row(row, p) for row in rows]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return [[ring.one() if i == j else ring.zero() for i in range(ncols)] for j in range(ncols)]
-    p = ring.char
     zero = ring.zero()
-    out = []
-    for den, x in _kernel(_sparse_rows(rows, ring), ncols, p):
-        vec = [zero] * ncols
-        for j, v in x.items():
-            vec[j] = field_value(v, den, p)
-        out.append(vec)
-    return out
+    return [[field_value(x[j], den, p) if j in x else zero for j in range(ncols)] for den, x in _kernel(sparse, ncols, p)]
 
 
-def joint_kernel(basis: Sequence, maps: Sequence[Sequence[Terms]], ring: Ring) -> List[Terms]:
+def joint_kernel(basis: Sequence, maps: Sequence[Sequence[IntVector]], ring: Ring) -> List[Terms]:
     """Basis of the common kernel of linear maps on the span of basis.
 
-    maps holds, for each map, the term dicts of the images of the basis
-    vectors in basis order.  Each map contributes one sparse row
-    {basis index: coefficient} per target key that occurs in its images;
-    each null vector comes back as a term dict on basis with its zero
-    coordinates dropped.
+    maps holds, for each map, the images of the basis vectors in basis
+    order, each a numerator pair (den, {target key: int}): the image
+    {q: x / den}, den 1 over F_p.  Column j, the images of basis vector
+    j, is scaled to the lcm d_j of their denominators, so each map gives
+    one int row {basis index: numerator} per target key that occurs in its
+    images.  Scaling the columns by D = diag(d_j) keeps the free columns,
+    and x = D y maps the int matrix's kernel onto the maps' kernel; with
+    f the free column, the largest index of y, x_j = d_j y_j / d_f keeps
+    the free coordinates equal to 1.  Each null vector comes back as a
+    term dict on basis with its zero coordinates dropped.
     """
-    rows: List[Dict[int, Scalar]] = []
+    dens = [lcm(*(images[j][0] for images in maps)) for j in range(len(basis))]
+    rows: List[SparseRow] = []
     for images in maps:
-        by_key: Dict[Hashable, Dict[int, Scalar]] = {}
-        for j, img in enumerate(images):
+        by_key: Dict[Hashable, SparseRow] = {}
+        for j, (d, img) in enumerate(images):
             for q, x in img.items():
-                by_key.setdefault(q, {})[j] = x
+                by_key.setdefault(q, {})[j] = x * (dens[j] // d)
         rows.extend(by_key.values())
-    return [{k: cv for k, cv in zip(basis, x) if cv} for x in nullspace(rows, ring, ncols=len(basis))]
+    out = []
+    for y in nullspace(rows, ring, ncols=len(basis)):
+        f = dens[max(j for j, v in enumerate(y) if v)]
+        out.append({k: v if d == f else v * d / f for k, d, v in zip(basis, dens, y) if v})
+    return out
 
 
 def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
@@ -330,12 +343,12 @@ def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:
     scaled by its own m and changed by adding multiples of rows taken
     before it.
     """
+    p = _field_char(ring)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return ring.one()
-    p = _field_char(ring)
     scaled = [numerators(enumerate(row), ring) for row in rows]
     leads = _sparse_echelon([row for _, row in scaled], p)[1]
     if len(leads) < n:

@@ -97,14 +97,17 @@ def singular_space(module, degree: int) -> SingularBasis:
     """All singular vectors of the given degree, as a normalized basis.
 
     Stacks the coefficient matrices of L(1): V(n) -> V(n-1) and
-    L(2): V(n) -> V(n-2) and returns their joint nullspace.  An empty basis
-    is a valid result.
+    L(2): V(n) -> V(n-2) and returns their joint nullspace.  The images of
+    the basis monomials are the straightening memo's entries, handed to
+    joint_kernel with their 1-tuples unwrapped; over a formal ring
+    joint_kernel raises RingMismatchError.  An empty basis is a valid
+    result.
     """
     mod = _as_module(module)
     if degree < 1:
         raise ValueError("singular vectors have positive degree")
     basis = partitions(degree)
-    maps = [[mod.apply_mode(m, mod.monomial(p)).terms for p in basis] for m in (1, 2)]
+    maps = [[(d, {q: v[0] for q, v in img.items()}) for d, img in (mod._act(m, p) for p in basis)] for m in (1, 2)]
     vectors = tuple(VermaVector(terms).normalized() for terms in joint_kernel(basis, maps, mod.ring))
     return SingularBasis(mod.params, degree, vectors)
 
@@ -128,7 +131,7 @@ def radical_basis(module, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
     mod = _as_module(module)
     g = mod.gram_matrix(degree)
-    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.scaled_rows(), mod.ring)]
+    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.num, mod.ring)]
 
 
 def irreducible_dims(module, max_degree: int) -> CharacterTable:
@@ -138,7 +141,7 @@ def irreducible_dims(module, max_degree: int) -> CharacterTable:
         raise ValueError("irreducible dimensions need a field, not a formal ring")
     rows = []
     for n in range(max_degree + 1):
-        r = rank(mod.gram_matrix(n).scaled_rows(), mod.ring)
+        r = rank(mod.gram_matrix(n).num, mod.ring)
         rows.append(CharRow(n, verma_dim(n), verma_dim(n) - r, r))
     return CharacterTable(mod.params, tuple(rows))
 

@@ -13,13 +13,18 @@ so singular-vector, Gram and mode-engine computations share all
 straightening work.  The memo holds int polynomials in h, the canonical
 entries (den, {partition: int tuple}) of `scalars` (1-tuples over a base
 field, den 1 with residues over F_p), and each straightening step is one
-bucket sum of them (`add_products`, `normalized_sum`); `apply_mode`
-encodes its vector once and decodes its image once (`entry_values`).
+bucket sum of them (`add_products`, `normalized_sum`).  `act` applies a
+mode to a vector held as such an entry, so that modes compose with no
+scalar built; `apply_mode` encodes its vector once, runs `act` and decodes
+the image once (`entry_values`).  The memo entries over a field are the
+numerator pairs (den, {partition: int}), once their 1-tuples are
+unwrapped, that `linalg.joint_kernel` takes.
 Gram matrices are built from that memo by the adjointness recurrence over
 degrees and cached per module, each degree once.  The recurrence runs on
 plain ints: a GramMatrix holds integer rows over one common denominator
 over Q and residues over F_p (Poly entries over a formal ring), read
-straight from the memo entries, and its Fraction, Fp or Poly entries are
+straight from the memo entries.  Those rows, `num`, go to `linalg.rank`
+and `linalg.nullspace` as they are; its Fraction, Fp or Poly entries are
 a view built when read (`field_value`).
 
 Every computation here is pure: vectors are immutable maps from partitions
@@ -148,10 +153,10 @@ class GramMatrix:
     over Q, num holds integer rows over one positive common denominator den
     that shares no factor with all of them; over F_p, residues in [0, p)
     with den 1; over a formal ring, the Poly entries themselves with den 1.
-    An all-zero matrix has den 1.  entries and rows() are derived views that
-    build the Fraction, Fp or Poly values when they are read; scaled_rows()
-    gives den * G in the form linalg accepts, which has the same rank and
-    kernel.
+    An all-zero matrix has den 1.  entries is a derived view that builds
+    the Fraction, Fp or Poly values when it is read.  Over a field num is
+    den * G as the int rows linalg's rank and nullspace take, with the same
+    rank and kernel as G.
     """
 
     degree: int
@@ -167,30 +172,18 @@ class GramMatrix:
         p = self.ring.char
         return tuple(tuple(field_value(v, self.den, p) for v in row) for row in self.num)
 
-    def rows(self) -> List[List[Scalar]]:
-        return [list(r) for r in self.entries]
-
-    def scaled_rows(self) -> List[list]:
-        """den * G as rows for linalg: ints over Q, Fp values over F_p (one
-        object per residue that occurs), the Poly entries over a formal ring."""
-        p = self.ring.char
-        if p and not self.ring.formal:
-            residues = {v: field_value(v, 1, p) for v in set().union(*self.num)}
-            return [[residues[v] for v in row] for row in self.num]
-        return [list(row) for row in self.num]
-
     def in_radical(self, vec: VermaVector) -> bool:
         """True when vec, a vector of this degree, pairs to zero with every
         basis monomial, i.e. lies in the radical of the form.  Raises
+        ValueError when vec has a term of another degree, and
         RingMismatchError when a coefficient of vec is not in the ring."""
-        support = ((j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms)
+        support = [(j, vec.terms[p]) for j, p in enumerate(self.basis) if p in vec.terms]
+        if len(support) != len(vec.terms):
+            raise ValueError(f"vector has terms outside degree {self.degree}")
         xs = numerators(support, self.ring)[1].items()
         p = 0 if self.ring.formal else self.ring.char
-        for row in self.num:
-            s = sum([row[j] * x for j, x in xs])
-            if s % p if p else s:
-                return False
-        return True
+        sums = (sum([row[j] * x for j, x in xs]) for row in self.num)
+        return not any(s % p if p else s for s in sums)
 
 
 class VermaModule:
@@ -275,16 +268,22 @@ class VermaModule:
         self._memo[key] = out
         return out
 
-    def apply_mode(self, n: int, vec: VermaVector) -> VermaVector:
-        """L(n) applied to a vector.  Degree m maps to degree m - n."""
-        ring = self.ring
-        dv, vs = poly_numerators(vec.terms.items(), ring)
+    def act(self, n: int, entry: Entry) -> Entry:
+        """L(n) applied to a vector given as a canonical entry (den,
+        {partition: int tuple}), as a canonical entry: one bucket sum of
+        the memo entries of its monomials."""
+        dv, vs = entry
         buckets: Buckets = {}
         for q, a in vs.items():
             d, image = self._act(n, q)
             if image:
                 add_products(buckets.setdefault(dv * d, {}), a, image)
-        return VermaVector(entry_values(normalized_sum(buckets, ring.char), ring))
+        return normalized_sum(buckets, self.ring.char)
+
+    def apply_mode(self, n: int, vec: VermaVector) -> VermaVector:
+        """L(n) applied to a vector.  Degree m maps to degree m - n."""
+        ring = self.ring
+        return VermaVector(entry_values(self.act(n, poly_numerators(vec.terms.items(), ring)), ring))
 
     def apply_word(self, modes: Sequence[int], vec: VermaVector) -> VermaVector:
         """Apply the operator product L(modes[0]) L(modes[1]) ... , i.e. the

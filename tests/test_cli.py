@@ -93,6 +93,15 @@ def test_singvec_quadratic_at_one_half(capsys):
     ]]
 
 
+def test_singvec_over_a_formal_weight_needs_a_field(capsys):
+    # Over Q[h] the straightening memo holds polynomials of degree 1 and
+    # more at degree 3; the kernel solver must refuse the ring, not trip
+    # over their coefficient tuples.
+    code, out, err = run_cli(["singvec", "--h", "h", "--degree", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: linear algebra needs a field, not a polynomial ring\n"
+
+
 def test_singvec_round_trips_to_a_singular_vector(capsys):
     code, out, _ = run_cli(["singvec", "--h", "0", "--degree", "6"], capsys)
     assert code == 0

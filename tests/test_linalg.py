@@ -61,14 +61,25 @@ def matrices(nrows, ncols, entries=None):
     )
 
 
+def numerator_rows(rows, ring):
+    """Scalar rows as the int rows rank and nullspace take: each row's
+    numerators, over the lcm of its denominators over Q, residues over F_p.
+    Scaling a row changes neither the rank nor the kernel."""
+    out = []
+    for row in rows:
+        nums = numerators(enumerate(row), ring)[1]
+        out.append([nums.get(j, 0) for j in range(len(row))])
+    return out
+
+
 # -------------------------------------------------------------- knowns
 
 def test_rank_of_identity_and_singular_matrix():
     one, two, four = Fraction(1), Fraction(2), Fraction(4)
-    assert rank([[one, 0], [0, one]], QQ) == 2
-    assert rank([[one, two], [two, four]], QQ) == 1
-    assert rank([], QQ) == 0
-    assert rank([[Fraction(0), Fraction(0)]], QQ) == 0
+    assert rank(numerator_rows([[one, 0], [0, one]], QQ), QQ) == 2
+    assert rank(numerator_rows([[one, two], [two, four]], QQ), QQ) == 1
+    assert rank(numerator_rows([], QQ), QQ) == 0
+    assert rank(numerator_rows([[Fraction(0), Fraction(0)]], QQ), QQ) == 0
 
 
 def test_determinant_examples():
@@ -80,7 +91,7 @@ def test_determinant_examples():
 
 def test_nullspace_of_singular_matrix():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    (vec,) = nullspace(rows, QQ)
+    (vec,) = nullspace(numerator_rows(rows, QQ), QQ)
     assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)
 
 
@@ -93,8 +104,8 @@ def test_elimination_rescales_rows_with_zero_leading_entry():
         [Fraction(0), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(1)],
     ]
-    assert rank(rows, QQ) == 3
-    assert nullspace(rows, QQ) == []
+    assert rank(numerator_rows(rows, QQ), QQ) == 3
+    assert nullspace(numerator_rows(rows, QQ), QQ) == []
     assert det(rows, QQ) == 1
     assert oracle_rank(rows, QQ) == 3
 
@@ -104,26 +115,26 @@ def test_rank_of_gram_matrix_that_exposed_the_zero_lead_bug():
     # a three-dimensional radical.  The skipped-rescale bug reported rank 5.
     mod = verma_module(Fraction(1, 2), Fraction(1, 16), QQ)
     gram = mod.gram_matrix(4)
-    assert rank(gram.rows(), QQ) == 2
-    assert len(nullspace(gram.rows(), QQ)) == 3
+    assert rank(gram.num, QQ) == 2
+    assert len(nullspace(gram.num, QQ)) == 3
 
 
 # ---------------------------------------------------------- properties
 
 @given(matrices(4, 3))
 def test_rank_matches_field_division_oracle(rows):
-    assert rank(rows, QQ) == oracle_rank(rows, QQ)
+    assert rank(numerator_rows(rows, QQ), QQ) == oracle_rank(rows, QQ)
 
 
 @given(matrices(3, 5))
 def test_wide_matrices_match_oracle(rows):
-    assert rank(rows, QQ) == oracle_rank(rows, QQ)
+    assert rank(numerator_rows(rows, QQ), QQ) == oracle_rank(rows, QQ)
 
 
 @given(matrices(4, 4))
 def test_nullspace_vectors_annihilate_and_count_corank(rows):
-    basis = nullspace(rows, QQ)
-    assert rank(rows, QQ) + len(basis) == 4
+    basis = nullspace(numerator_rows(rows, QQ), QQ)
+    assert rank(numerator_rows(rows, QQ), QQ) + len(basis) == 4
     for vec in basis:
         for row in rows:
             assert sum(r * x for r, x in zip(row, vec)) == 0
@@ -140,14 +151,14 @@ def test_determinant_is_multiplicative(a, b):
 
 @given(matrices(4, 4))
 def test_zero_determinant_iff_rank_deficient(rows):
-    assert (det(rows, QQ) == 0) == (rank(rows, QQ) < 4)
+    assert (det(rows, QQ) == 0) == (rank(numerator_rows(rows, QQ), QQ) < 4)
 
 
 @given(st.lists(st.lists(st.integers(0, 12), min_size=3, max_size=3), min_size=4, max_size=4), st.sampled_from([3, 5, 7]))
 def test_prime_field_rank_matches_oracle(ints, p):
     ring = GF(p)
     rows = [[ring.of_int(x) for x in row] for row in ints]
-    assert rank(rows, ring) == oracle_rank(rows, ring)
+    assert rank(numerator_rows(rows, ring), ring) == oracle_rank(rows, ring)
 
 
 def leibniz_det(rows, ring):
@@ -344,8 +355,8 @@ def sparse_matrix_case(draw):
 @given(sparse_matrix_case())
 def test_sparse_elimination_matches_dense_oracle(case):
     ring, rows = case
-    assert each_budget(lambda: typed(nullspace(rows, ring))) == [typed(dense_nullspace(rows, ring))] * 3
-    assert rank(rows, ring) == dense_rank(rows, ring)
+    assert each_budget(lambda: typed(nullspace(numerator_rows(rows, ring), ring))) == [typed(dense_nullspace(rows, ring))] * 3
+    assert rank(numerator_rows(rows, ring), ring) == dense_rank(rows, ring)
     n = min(len(rows), len(rows[0]))
     square = [row[:n] for row in rows[:n]]
     assert typed(det(square, ring)) == typed(dense_det(square, ring))
@@ -359,11 +370,13 @@ def test_dense_gram_matrices_match_dense_oracle(h, ring):
     # Gram matrices at c = 1/2 up to degree 8.
     mod = verma_module(Fraction(1, 2), ring.coerce(h), ring)
     for degree in range(9):
-        rows = mod.gram_matrix(degree).rows()
+        gram = mod.gram_matrix(degree)
+        rows = gram.entries
         for k in range(1, len(rows) + 1):
             block = [row[:k] for row in rows[:k]]
-            assert rank(block, ring) == dense_rank(block, ring)
-            assert each_budget(lambda: typed(nullspace(block, ring))) == [typed(dense_nullspace(block, ring))] * 3
+            nums = [row[:k] for row in gram.num[:k]]
+            assert rank(nums, ring) == dense_rank(block, ring)
+            assert each_budget(lambda: typed(nullspace(nums, ring))) == [typed(dense_nullspace(block, ring))] * 3
             assert typed(det(block, ring)) == typed(dense_det(block, ring))
 
 
@@ -392,7 +405,7 @@ def _q_rows(ints):
     ids=["full-rank-mod-P", "column-of-P", "det-P", "den-P", "den-2P-kernel", "kernel"],
 )
 def test_certificate_exits_agree_with_the_exact_kernel(rows, kernel_dim):
-    basis = nullspace(rows, QQ)
+    basis = nullspace(numerator_rows(rows, QQ), QQ)
     assert len(basis) == kernel_dim
     assert typed(basis) == typed(dense_nullspace(rows, QQ))
 
@@ -411,9 +424,9 @@ def test_deferred_row_with_new_rank(ring):
     new_rank = {**in_span, n + 1: in_span[n + 1] + 1}
     rows = [[ring.of_int(row.get(j, 0)) for j in range(ncols)] for row in pivot_rows + [in_span, new_rank]]
     deferred = []
-    linalg._sparse_echelon(linalg._sparse_rows(rows, ring), ring.char, deferred)
+    linalg._sparse_echelon([linalg._int_row(row, ring.char) for row in numerator_rows(rows, ring)], ring.char, deferred)
     assert sorted(deferred) == [n, n + 1]
-    basis = nullspace(rows, ring)
+    basis = nullspace(numerator_rows(rows, ring), ring)
     assert typed(basis) == typed(dense_nullspace(rows, ring))
     assert basis == [[ring.one()] + [ring.zero()] * (ncols - 1)]
 
@@ -461,6 +474,32 @@ def test_scalars_of_another_ring_are_rejected(rows, ring, solve):
         solve(rows, ring)
 
 
+def test_int_rows_are_taken_as_numerators_and_reduced_mod_p():
+    # Over F_p any int is read mod p; over Q a row of numerators has the
+    # rank and kernel of the rational row it scales.
+    f = GF(7)
+    assert rank([[7, 14], [1, -6]], f) == 1
+    assert nullspace([[8, -5]], f) == nullspace([[1, 2]], f) == [[Fp(5, 7), Fp(1, 7)]]
+    assert nullspace([{1: 3}, {0: 2, 1: 6}], QQ, ncols=3) == nullspace(numerator_rows([[0, 1, 0], [Fraction(1, 3), 1, 0]], QQ), QQ)
+    assert nullspace([{1: 3}], QQ, ncols=3) == [[1, 0, 0], [0, 0, 1]]
+
+
+def test_an_empty_leading_row_does_not_hide_the_rest():
+    assert rank([{}, {0: 1}], QQ) == 1
+    assert rank([[], [5]], GF(7)) == 1
+    assert nullspace([{}, {0: 1}], QQ, ncols=2) == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda ring: rank([], ring), lambda ring: det([], ring), lambda ring: nullspace([], ring, 2)],
+    ids=["rank", "det", "nullspace"],
+)
+def test_a_formal_ring_is_rejected_before_any_early_return(solve):
+    with pytest.raises(RingMismatchError, match="needs a field"):
+        solve(formal_ring(7))
+
+
 # ---------------------------------------------------------- joint_kernel
 
 def dense_joint_kernel(basis, maps, targets, ring):
@@ -495,7 +534,8 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_joint_kernel_matches_dense_stacking(case):
     ring, basis, maps, targets = case
-    assert joint_kernel(basis, maps, ring) == dense_joint_kernel(basis, maps, targets, ring)
+    encoded = [[numerators(img.items(), ring) for img in images] for images in maps]
+    assert joint_kernel(basis, encoded, ring) == dense_joint_kernel(basis, maps, targets, ring)
 
 
 @pytest.mark.parametrize(

@@ -415,6 +415,17 @@ def test_in_radical_matches_the_scalar_pairing(ring, point, data):
                 gram.in_radical(VermaVector({**vec.terms, basis[-1]: other}))
 
 
+def test_in_radical_rejects_a_vector_of_another_degree():
+    # A term outside the slice pairs with no row of the form; ignoring it
+    # would make L(-3) v look like a radical vector of degree 2.
+    for ring in (QQ, GF(7)):
+        mod = VermaModule(Fraction(1, 2), Fraction(0), ring)
+        gram = mod.gram_matrix(2)
+        for vec in (mod.monomial((3,)), mod.monomial((2,)) + mod.monomial((1,))):
+            with pytest.raises(ValueError, match="outside degree 2"):
+                gram.in_radical(vec)
+
+
 def test_gram_requested_first_at_degree_ten_matches_upward_fill():
     upward = VermaModule(Fraction(1, 2), Fraction(1, 16))
     for n in range(11):
@@ -452,7 +463,7 @@ def test_gram_determinant_is_the_kac_determinant(t, h):
     c = 13 - 6 * (t + 1 / t)
     for n in range(7):
         want = _kac_determinant(n, t, h)
-        assert det(VermaModule(c, h).gram_matrix(n).rows(), QQ) == want
+        assert det(VermaModule(c, h).gram_matrix(n).entries, QQ) == want
         for p in (7, 11):
             ring = GF(p)
             try:
@@ -461,7 +472,7 @@ def test_gram_determinant_is_the_kac_determinant(t, h):
                 continue
             if not t_p:
                 continue
-            got = det(VermaModule(ring.of_fraction(c), h_p, ring).gram_matrix(n).rows(), ring)
+            got = det(VermaModule(ring.of_fraction(c), h_p, ring).gram_matrix(n).entries, ring)
             assert got == want_p
 
 
