@@ -23,16 +23,26 @@ gives the direct rule used to compute them,
 
     L(n) = sum_{x < y, x + y = n} (y - x)/2 * a(x) a(y),
 
-applied on doubled integer modes and memoized per (sector, ring, n,
-monomial).  On a monomial only the pairs whose a(y) is an annihilator
-present in it, or (n < 0) a creation pair x < y <= 0, can act.
+applied on doubled integer modes.  On a monomial only the pairs whose
+a(y) is an annihilator present in it, or (n < 0) a creation pair
+x < y <= 0, can act.  The image of a monomial is memoized per (sector,
+char, n, monomial) as a canonical entry (den, {monomial: (int,)}) of the
+int form in `scalars`: over Q ints over a divisor of 16, the rule's only
+denominator ((y - x)/4 per pair, a(0)^2 = 1/2, the 1/16 of L(0)), over
+F_p residues over 1.  `virasoro_act` extends the memo to a vector held as
+such an entry by the bucket sum the Verma and mode layers use
+(`add_image`); `apply_virasoro_fock` encodes its vector once, runs it and
+decodes once, and `fock_hw_vectors` hands the memo entries of L(1) and
+L(2) to the joint kernel as they are.
 
 The grading used for dimension counts is the sector-adjusted degree
 floor(w2/2) of a monomial of doubled weight w2, in both sectors.  An NS
 monomial's parity is w2 mod 2, since each factor has odd doubled weight;
 slice_weight2 gives the weight of each slice.  The fermion action is one
 rule for every mode: a factor moves to or from position i at sign (-1)^i,
-and a(0) contracted with itself gives a(0)^2 = 1/2.
+and a(0) contracted with itself gives a(0)^2 = 1/2.  The rule states each
+factor in halves, as an int f for the scalar f/2, so the Virasoro memo
+stays in ints; apply_fermion, sigma and fock_form return ring scalars.
 """
 
 from __future__ import annotations
@@ -43,7 +53,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .lincomb import LinComb, merge, reduce_terms_mod_p
 from .linalg import joint_kernel, lowering_closure
-from .scalars import GF, QQ, Ring, Scalar, numerators, scalar_to_json, scalar_from_json
+from .scalars import (
+    GF, QQ, Buckets, Entry, Ring, Scalar,
+    add_image, entry_values, normalized_sum, poly_numerators, scalar_from_json, scalar_to_json,
+)
 
 FockMonomial = Tuple[int, ...]
 
@@ -192,32 +205,33 @@ def _ends_in_zero_mode(t: FockMonomial) -> bool:
     return bool(t) and t[-1] == 0
 
 
-def _zero_mode_square(f: Scalar) -> Scalar:
-    """f times a(0)^2 = 1/2, the one contraction constant other than 1."""
-    return f / 2
+@lru_cache(maxsize=None)
+def _halves(ring: Ring) -> Dict[int, Scalar]:
+    """The scalar f/2 for each fermion factor f, given in halves."""
+    return {f: ring.of_int(f) / ring.of_int(2) for f in (-2, -1, 1, 2)}
 
 
-def _apply_fermion_term(m2: int, t: FockMonomial, one: Scalar):
-    """a(m2/2) on one monomial: (new monomial, scalar factor) or None.
+def _apply_fermion_term(m2: int, t: FockMonomial):
+    """a(m2/2) on one monomial: (new monomial, f) for the factor f/2, or None.
 
     The factor of doubled magnitude n2 = |m2| moves to or from position i,
     behind the i larger factors, at sign (-1)^i.  Meeting its own partner,
-    an annihilator contracts with 1, a(0) with 1/2, and a creator gives 0.
+    an annihilator contracts with 1 (f = 2), a(0) with a(0)^2 = 1/2 (f = 1),
+    and a creator gives 0.
     """
     n2 = -m2 if m2 < 0 else m2
     if n2 in t:
         if m2 < 0:
             return None
         i = t.index(n2)
-        f = one if i % 2 == 0 else -one
-        return t[:i] + t[i + 1 :], (f if m2 else _zero_mode_square(f))
+        f = 2 if m2 else 1
+        return t[:i] + t[i + 1 :], (f if i % 2 == 0 else -f)
     if m2 > 0:
         return None
     i = 0
     while i < len(t) and t[i] > n2:
         i += 1
-    f = one if i % 2 == 0 else -one
-    return t[:i] + (n2,) + t[i:], f
+    return t[:i] + (n2,) + t[i:], (2 if i % 2 == 0 else -2)
 
 
 def apply_fermion(m, vec: FockVector) -> FockVector:
@@ -225,46 +239,53 @@ def apply_fermion(m, vec: FockVector) -> FockVector:
     m2 = _dbl(m)
     if not _mode_in_sector(m2, vec.sector):
         raise ValueError(f"mode {m} does not belong to the {vec.sector} sector")
-    one = vec.ring.one()
+    half = _halves(vec.ring)
     # a(m) maps distinct monomials to distinct monomials, so no terms merge.
     out: Dict[FockMonomial, Scalar] = {}
     for t, cv in vec.terms.items():
-        hit = _apply_fermion_term(m2, t, one)
+        hit = _apply_fermion_term(m2, t)
         if hit is not None:
-            out[hit[0]] = cv * hit[1]
+            out[hit[0]] = cv * half[hit[1]]
     return vec._like(out)
 
 
 @lru_cache(maxsize=None)
-def _virasoro_term(sector: str, ring: Ring, n: int, t: FockMonomial) -> Dict[FockMonomial, Scalar]:
-    """L(n) on one basis monomial by the direct rule, as a raw term dict.
+def _virasoro_term(sector: str, p: int, n: int, t: FockMonomial) -> Entry:
+    """L(n) on one basis monomial by the direct rule, as a canonical entry
+    (den, {monomial: (int,)}) over characteristic p.
 
-    The dict is shared by every later call with the same arguments, so
-    callers merge it into their own dict and never mutate it.
+    With both fermion factors in halves, each pair gives (y - x)/2 *
+    f1/2 * f2/2 = (y2 - x2) f1 f2 / 16, and the R-sector L(0) adds 1/16,
+    so over Q every numerator is an int over 16; over F_p it is multiplied
+    by the inverse of 16 and den is 1.
     """
-    one = ring.one()
-    quarter = one / ring.of_int(4)
+    k = pow(16, -1, p) if p else 1
     # Doubled modes y2 of the a(y) that can act first: annihilators present
     # in t, then for n < 0 the creation modes y <= 0 with a partner x < y.
     ys = [y2 for y2 in t if y2 > max(n, 0)]
     if n < 0:
         ys.extend(range(-MODE_PARITY[sector], n, -2))
-    out: Dict[FockMonomial, Scalar] = {}
+    acc: Dict[FockMonomial, list] = {}
     for y2 in ys:
         x2 = 2 * n - y2
-        coeff = ring.of_int(y2 - x2)
-        if not coeff:  # over F_p, p divides y - x
+        if p and (y2 - x2) % p == 0:  # over F_p, p divides y - x
             continue
-        hit = _apply_fermion_term(y2, t, one)
-        if hit is None:
-            continue
-        hit2 = _apply_fermion_term(x2, hit[0], one)
-        if hit2 is None:
-            continue
-        merge(out, {hit2[0]: coeff * quarter * hit[1] * hit2[1]})
+        hit = _apply_fermion_term(y2, t)
+        hit2 = hit and _apply_fermion_term(x2, hit[0])
+        if hit2:
+            acc.setdefault(hit2[0], [0])[0] += (y2 - x2) * hit[1] * hit2[1] * k
     if n == 0 and sector == RAMOND:
-        merge(out, {t: one / ring.of_int(16)})
-    return out
+        acc.setdefault(t, [0])[0] += k
+    return normalized_sum({1 if p else 16: acc}, p)
+
+
+def virasoro_act(sector: str, p: int, n: int, entry: Entry) -> Entry:
+    """L(n) applied to a vector of the sector given as a canonical entry
+    (den, {monomial: (int,)}) over characteristic p, as a canonical entry:
+    one bucket sum of the memo entries of its monomials."""
+    buckets: Buckets = {}
+    add_image(buckets, entry, _virasoro_term, sector, p, n)
+    return normalized_sum(buckets, p)
 
 
 def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
@@ -273,13 +294,12 @@ def apply_virasoro_fock(n: int, vec: FockVector) -> FockVector:
         L(n) = sum_{x < y, x + y = n} (y - x)/2 * a(x) a(y)
 
     (+ 1/16 on L(0) in the R sector), which is 1/2 sum_j j :a(-j)a(n+j):
-    with the two terms of each pair collected.  The image of each monomial
-    is memoized; the result is a fresh vector.
+    with the two terms of each pair collected.  The vector is encoded once,
+    acted on by `virasoro_act` and decoded once into a fresh vector.
     """
-    out: Dict[FockMonomial, Scalar] = {}
-    for t, cv in vec.terms.items():
-        merge(out, _virasoro_term(vec.sector, vec.ring, n, t), cv)
-    return vec._like(out)
+    ring = vec.ring
+    entry = virasoro_act(vec.sector, ring.char, n, poly_numerators(vec.terms.items(), ring))
+    return vec._like(entry_values(entry, ring))
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +364,7 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
     if slice_weight2(sector, parity, degree) != w2:
         raise ValueError(f"no {sector} parity-{parity} monomials of weight {weight}")
     basis = sector_basis(sector, parity, degree)
-    one = ring.one()
-    maps = [[numerators(apply_virasoro_fock(m, FockVector(sector, ring, {t: one})).terms.items(), ring) for t in basis]
+    maps = [[(d, {q: v[0] for q, v in img.items()}) for d, img in (_virasoro_term(sector, ring.char, m, t) for t in basis)]
             for m in (1, 2)]
     return [FockVector(sector, ring, terms).normalized() for terms in joint_kernel(basis, maps, ring)]
 
@@ -364,7 +383,7 @@ def sigma(vec: FockVector) -> FockVector:
         raise ValueError("sigma is defined on the R sector")
     if vec.terms and vec.parity() != 0:
         raise ValueError("sigma expects an even-parity vector")
-    half = _zero_mode_square(vec.ring.one())
+    half = _halves(vec.ring)[1]
     out: Dict[FockMonomial, Scalar] = {}
     for t, cv in vec.terms.items():
         if _ends_in_zero_mode(t):
@@ -384,7 +403,7 @@ def fock_form(u: FockVector, v: FockVector) -> Scalar:
     if u.sector != v.sector:
         raise ValueError("form pairing needs a single sector")
     ring = u.ring
-    half = _zero_mode_square(ring.one())
+    half = _halves(ring)[1]
     acc = ring.zero()
     small, large = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
     for t, cv in small.items():

@@ -2,13 +2,16 @@
 
 A term dict maps basis keys (partitions, Fock monomials, state terms) to
 nonzero scalars.  `merge` is the one loop that adds one such dict of ring
-scalars into another; every module that accumulates scalar terms calls it.
-Sums kept in the int form of `scalars` are not scalar term dicts: the Gram
-recurrence (`verma`) and elimination (`linalg`) take int dot products, and
-the Verma straightening (`verma`) and the mode engine (`modes`) add int
-polynomial products through the bucket sum in `scalars`
-(`add_products`, `normalized_sum`).  `LinComb` wraps a term dict with the arithmetic shared
-by the Verma and Fock vector classes.
+scalars into another.  It serves only cold paths: reading vectors from
+JSON, building states (`modes.build_state`, `modes.named_state`) and
+`LinComb.__add__`.  Sums on the hot paths are kept in the int form of
+`scalars`, not as scalar term dicts: the Gram recurrence (`verma`) and
+elimination (`linalg`) take int dot products, and the Verma
+straightening, the Verma and Fock Virasoro actions (`verma`, `fock`) and
+the mode engine (`modes`) add int products through the bucket sum in
+`scalars` (`add_image`, `add_products`, `normalized_sum`).  `LinComb`
+wraps a term dict with the arithmetic shared by the Verma and Fock
+vector classes.
 """
 
 from __future__ import annotations

@@ -31,11 +31,12 @@ The engine computes on int polynomials in h, the canonical entries of
 for the whole image (1 over F_p, where the ints are residues), and a
 base-field value is a 1-tuple.  The Verma straightening memo holds the
 same entries, so the one-factor case scales the Verma action's entry by
-the integer binomial (`scale_entry`); a product term adds each int
-product into buckets keyed by denominator (`add_products`) and normalizes
-them once per entry (`normalized_sum`).  `apply` encodes its state and
-target once and decodes once (`entry_values`), to `Poly` values over a
-formal ring and `Fraction` or `Fp` values over a base field.
+the integer binomial (`scale_entry`); a product term applies one factor's
+modes to the other's memo entries, adding each int product into buckets
+keyed by denominator (`add_image`), and normalizes them once per entry
+(`normalized_sum`).  `apply` encodes its state and target once and
+decodes once (`entry_values`), to `Poly` values over a formal ring and
+`Fraction` or `Fp` values over a base field.
 
 The degree-6 state s and the degree-4 state u that drive the c = 1/2
 classification and its characteristic-7 degeneration are provided as named
@@ -56,7 +57,7 @@ from .scalars import (
     Entry,
     Ring,
     Scalar,
-    add_products,
+    add_image,
     conv_add,
     entry_values,
     normalized_sum,
@@ -180,21 +181,12 @@ class ModeEngine:
             dx, dy = term_degree(x), term_degree(y)
             buckets: Buckets = {}
             for i in range(m - d - dy, 0):
-                self._compose(x, i, self._term(y, m - 1 - i, part), buckets)
+                add_image(buckets, self._term(y, m - 1 - i, part), self._term, x, i)
             for i in range(0, d + dx):
-                self._compose(y, m - 1 - i, self._term(x, i, part), buckets)
+                add_image(buckets, self._term(x, i, part), self._term, y, m - 1 - i)
             out = normalized_sum(buckets, self.ring.char)
         self._memo[key] = out
         return out
-
-    def _compose(self, t: StateTerm, k: int, inner: Entry, buckets: Buckets) -> None:
-        """Add t_k applied to the inner image into buckets keyed by the
-        product of the two denominators."""
-        d1, terms = inner
-        for q, a in terms.items():
-            d2, image = self._term(t, k, q)
-            if image:
-                add_products(buckets.setdefault(d1 * d2, {}), a, image)
 
     def apply(self, state: StateWord, n: int, target: VermaVector) -> VermaVector:
         ring = self.ring
@@ -202,10 +194,7 @@ class ModeEngine:
         dv, vs = poly_numerators(target.terms.items(), ring)
         buckets: Buckets = {}
         for t, c in cs.items():
-            for part, cv in vs.items():
-                d, image = self._term(t, n, part)
-                if image:
-                    add_products(buckets.setdefault(ds * dv * d, {}), conv_add([], c, cv), image)
+            add_image(buckets, (ds * dv, {part: conv_add([], c, cv) for part, cv in vs.items()}), self._term, t, n)
         return VermaVector(entry_values(normalized_sum(buckets, ring.char), ring))
 
 
@@ -257,7 +246,7 @@ def verify_annihilation(state: StateWord, module, max_mode: int, max_target_degr
             d_out = d + deg_s - n - 1
             gram = module.gram_matrix(d_out)
             for part in basis:
-                img = eng.apply(state, n, module.monomial(part) if part else module.vacuum())
+                img = eng.apply(state, n, module.monomial(part))
                 report.checks += 1
                 if img and not gram.in_radical(img):
                     report.violations.append((d, n, part))

@@ -22,13 +22,15 @@ another ring.  ``field_value`` builds the Fraction or Fp for an int
 numerator over a denominator, ``poly_value`` the canonical Poly for an int
 tuple over one, and ``conv_add`` is the one int polynomial product.
 
-The Verma straightening memo and the mode engine both hold canonical
-entries (den, {key: int tuple}), the output of ``poly_numerators``, and
-both compute on them through the one int-sum kernel here:
-``add_products`` adds products into buckets keyed by denominator,
-``normalized_sum`` brings the buckets to one canonical entry,
-``scale_entry`` multiplies an entry by an integer, and ``entry_values``
-decodes an entry into Poly, Fraction or Fp values.
+The Verma straightening memo, the mode engine and the Fock Virasoro memo
+all hold canonical entries (den, {key: int tuple}), the output of
+``poly_numerators``, and all three layers compute on them through the
+one int-sum kernel here: ``add_image`` extends a memoized per-monomial
+action linearly to an entry, the one such loop, ``add_products`` adds
+products into buckets keyed by denominator, ``normalized_sum`` brings
+the buckets to one canonical entry, ``scale_entry`` multiplies an entry
+by an integer, and ``entry_values`` decodes an entry into Poly, Fraction
+or Fp values.
 
 A ``Ring`` value describes which carrier is in play.  Characteristic 2 is
 rejected everywhere because 2 must stay invertible for the central term
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Tuple, Union
 
 
 class CharacteristicTwoError(ValueError):
@@ -522,6 +524,19 @@ def add_products(acc: Dict[Hashable, list], a, image: Dict[Hashable, tuple]) -> 
             acc[r] = add([], a, b)
         else:
             add(s, a, b)
+
+
+def add_image(buckets: Buckets, entry: Entry, image: Callable[..., Entry], *args) -> None:
+    """Add a * image(*args, q) for every (q, a) of entry into buckets keyed by
+    the product of the two denominators: the one linear extension of a
+    per-monomial action to an entry.  image returns canonical entries and
+    is passed with its arguments, not wrapped in a lambda, so each monomial
+    costs one call."""
+    den, terms = entry
+    for q, a in terms.items():
+        d, img = image(*args, q)
+        if img:
+            add_products(buckets.setdefault(den * d, {}), a, img)
 
 
 def _add_multiple(acc: list, a, b) -> list:

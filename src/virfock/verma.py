@@ -14,9 +14,9 @@ straightening work.  The memo holds int polynomials in h, the canonical
 entries (den, {partition: int tuple}) of `scalars` (1-tuples over a base
 field, den 1 with residues over F_p), and each straightening step is one
 bucket sum of them (`add_products`, `normalized_sum`).  `act` applies a
-mode to a vector held as such an entry, so that modes compose with no
-scalar built; `apply_mode` encodes its vector once, runs `act` and decodes
-the image once (`entry_values`).  The memo entries over a field are the
+mode to a vector held as such an entry (`add_image`), so that modes
+compose with no scalar built; `apply_mode` encodes its vector once, runs
+`act` and decodes the image once (`entry_values`).  The memo entries over a field are the
 numerator pairs (den, {partition: int}), once their 1-tuples are
 unwrapped, that `linalg.joint_kernel` takes.
 Gram matrices are built from that memo by the adjointness recurrence over
@@ -46,6 +46,7 @@ from .scalars import (
     Entry,
     Ring,
     Scalar,
+    add_image,
     add_products,
     central_coeff,
     entry_values,
@@ -272,12 +273,8 @@ class VermaModule:
         """L(n) applied to a vector given as a canonical entry (den,
         {partition: int tuple}), as a canonical entry: one bucket sum of
         the memo entries of its monomials."""
-        dv, vs = entry
         buckets: Buckets = {}
-        for q, a in vs.items():
-            d, image = self._act(n, q)
-            if image:
-                add_products(buckets.setdefault(dv * d, {}), a, image)
+        add_image(buckets, entry, self._act, n)
         return normalized_sum(buckets, self.ring.char)
 
     def apply_mode(self, n: int, vec: VermaVector) -> VermaVector:

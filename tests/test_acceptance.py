@@ -8,14 +8,19 @@ without the engine.
 
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from virfock.battery import (
     EXPECTED_SINGULAR_DEGREES,
     GENERATING_SINGULAR_DEGREES,
+    _bracket_fault,
     run_battery,
 )
+from virfock.fock import NS, RAMOND, sector_basis, virasoro_act
+from virfock.scalars import QQ
+from virfock.verma import partitions, verma_module
 
 CRITERION_LABELS = {
     1: "singular-vector golden set and degree inventory",
@@ -152,6 +157,28 @@ def test_every_check_is_tagged_with_one_criterion(battery):
 def test_no_unexpected_failures(battery):
     report, _ = battery
     assert not report.failures, failure_text(report.failures)
+
+
+def _bracket_action(space):
+    """L(n) on canonical entries, and basis keys up to degree 4, of the
+    Verma module V(1/2, 1/16) over Q or of a Fock sector."""
+    if space == "verma":
+        mod = verma_module(Fraction(1, 2), Fraction(1, 16), QQ)
+        return mod.act, [part for d in range(5) for part in partitions(d)]
+    keys = [t for parity in (0, 1) for d in range(5) for t in sector_basis(space, parity, d)]
+    return partial(virasoro_act, space, 0), keys
+
+
+@pytest.mark.parametrize("space", ["verma", NS, RAMOND])
+def test_bracket_check_reports_a_wrong_central_charge(space):
+    """Negative control: the shared bracket check of verma/bracket and
+    fock/bracket is silent at c = 1/2 and fires at c = 1 on a central term."""
+    act, keys = _bracket_action(space)
+    assert _bracket_fault(act, QQ, Fraction(1, 2), keys) is None
+    fault = _bracket_fault(act, QQ, Fraction(1), keys)
+    assert fault is not None
+    m, n, _ = fault
+    assert m + n == 0 and m not in (-1, 0, 1)
 
 
 def test_singular_catalogue_matches_rocha_caridi_exponents():

@@ -8,10 +8,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from test_verma import assert_canonical_entry
 from virfock.fock import (
     NS,
     RAMOND,
     FockVector,
+    _virasoro_term,
     apply_fermion,
     apply_virasoro_fock,
     fermion_monomial,
@@ -186,6 +188,9 @@ def test_direct_rule_matches_j_sum_definition(sector, ring):
                     assert got == want, (sector, t, n)
                     assert {k: type(v) for k, v in got.terms.items()} == \
                         {k: type(v) for k, v in want.terms.items()}
+                    entry = _virasoro_term(sector, ring.char, n, t)
+                    assert_canonical_entry(entry, ring, (sector, t, n))
+                    assert 16 % entry[0] == 0, (sector, t, n)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
