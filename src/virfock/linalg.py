@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and F_p.
 
-rank and nullspace take int rows, dense int sequences or {column: int}
-dicts: over Q integer numerators, over F_p any ints, reduced mod p.
-Scaling a row by a nonzero rational changes neither the rank nor the
-kernel, so a row of rationals is passed times a common denominator and
-no denominator is needed; a Gram slice's `num` is such a matrix already.
+row_basis, rank and nullspace take int rows, dense int sequences or
+{column: int} dicts: over Q integer numerators, over F_p any ints, reduced
+mod p.  Scaling a row by a nonzero rational changes neither the rank nor
+the kernel, so a row of rationals is passed times a common denominator and
+no denominator is needed; a Gram slice's `rows` and `num` are such
+matrices already.  row_basis gives the echelon's pivot rows as
+{column: int} dicts: int rows again, with the same row space, so one
+echelon gives a slice's rank (their count) and its kernel (nullspace).
 A formal ring, checked first, or a non-int entry raises
 RingMismatchError.  det and SpanBuilder take scalars, turned into int
 rows through the codec in `scalars`, whose `numerators` also rejects
@@ -23,9 +26,9 @@ a / gcd(a, f).  The sparse echelon feeds the loop matrix rows in
 descending order of their smallest column, SpanBuilder feeds it term dicts
 one at a time.  The echelon's pivot columns are the RREF pivot columns,
 which depend only on the row space, so the free columns and the kernel
-basis with unit free coordinates do not depend on the row order.  rank,
-nullspace and det all run it, the same echelon over Q and F_p: the kernel
-is empty exactly when every column has a pivot.
+basis with unit free coordinates do not depend on the row order.
+row_basis, rank, nullspace and det all run it, the same echelon over Q
+and F_p: the kernel is empty exactly when every column has a pivot.
 
 Rows that reduce to zero cost a full echelon almost all its time, so
 nullspace verifies rather than reduces them.  Its echelon gives each row
@@ -35,7 +38,7 @@ a candidate kernel K0, kept over Q as ints over one denominator; each
 deferred row is multiplied into K0, and K0 is the kernel when every such
 residual is 0.  Otherwise the kernel is K0 times the kernel of the
 residual matrix, found by the same routine.  The basis is exactly the one
-a full echelon gives (see nullspace); rank, det and SpanBuilder reduce
+a full echelon gives (see nullspace); row_basis, det and SpanBuilder reduce
 every row fully.
 
 joint_kernel takes each image of a basis vector as a numerator pair
@@ -61,7 +64,7 @@ IntRow = Union[Sequence[int], Dict[int, int]]  # a dense int row, or {column: in
 IntVector = Tuple[int, Dict[Hashable, int]]  # (den, {key: int}): the vector {key: int / den}; den is 1 over F_p
 
 # Pivot rows a row may subtract in nullspace's echelon before it is deferred
-# to the kernel check; rank, det and SpanBuilder reduce every row fully.
+# to the kernel check; row_basis, det and SpanBuilder reduce every row fully.
 _STEPS = 48
 # _reduce's result for a row that ran out of steps.
 _DEFERRED = object()
@@ -188,11 +191,20 @@ def _sparse_echelon(
     return pivots, leads
 
 
-def rank(rows: Sequence[IntRow], ring: Ring) -> int:
-    """Rank of a matrix given as int rows, dense or {column: int}: integer
-    numerators over Q, any ints over F_p."""
+def row_basis(rows: Sequence[IntRow], ring: Ring) -> List[SparseRow]:
+    """The sparse echelon's pivot rows of a matrix given as int rows, dense
+    or {column: int}: integer numerators over Q, any ints over F_p.  Each
+    comes back as a {column: int} dict, its pivot column first, in the
+    order the rows became pivot rows.  They span the row space of rows, so
+    they have its rank and its kernel, and they are int rows again."""
     p = _field_char(ring)
-    return len(_sparse_echelon([_int_row(row, p) for row in rows], p)[0])
+    pivots = _sparse_echelon([_int_row(row, p) for row in rows], p)[0]
+    return [{c: a, **rest} for c, (a, rest) in pivots.items()]
+
+
+def rank(rows: Sequence[IntRow], ring: Ring) -> int:
+    """Rank of a matrix given as int rows, as row_basis takes them."""
+    return len(row_basis(rows, ring))
 
 
 def _back_substitute(pivots: Pivots, ncols: int, p: int) -> List[IntVector]:

@@ -9,6 +9,28 @@ contravariant form (any graded submodule vanishing in degree 0 pairs to zero
 with everything, and the radical is such a submodule), so the graded
 dimensions of the irreducible quotient L(c, h) are exactly the Gram ranks.
 This holds over every supported field, in any characteristic other than 2.
+
+The ranks and radicals are read from int rows F_n whose kernel is the
+radical Rad_n of the degree-n slice, built by recursion over degrees
+(VermaModule.gram_matrix).  For n >= 1, a vector x of degree n lies in
+Rad_n exactly when L(1) x lies in Rad_{n-1} and L(2) x in Rad_{n-2}:
+
+* Only if: the radical is a submodule.
+* If: outside characteristic 2, L(1) and L(2) generate every L(k), k >= 1,
+  since [L(1), L(m)] = (1 - m) L(m + 1) and [L(2), L(m - 1)] =
+  (3 - m) L(m + 1), and 1 - m and 3 - m are not both 0 mod an odd p.  So
+  every L(k) x, k >= 1, is a sum of words in L(1), L(2) applied to L(1) x
+  or L(2) x, and lies in the radical.  As V_n = sum_k L(-k) V_{n-k} and
+  <L(-k) y, x> = <y, L(k) x> = 0, x pairs to zero with all of V_n.
+
+So if F_{n-1} and F_{n-2} have kernels Rad_{n-1} and Rad_{n-2}, the rows
+f o L(1), f in F_{n-1}, with the rows f o L(2), f in F_{n-2}, have kernel
+Rad_n; F_0 = [{0: 1}], as <v, v> = 1.  A slice keeps the echelon of those
+rows: as many rows as its rank, spanning the row space of its Gram matrix,
+which is never built for a rank or a radical.  irreducible_dims counts the
+rows, and radical_basis takes their kernel, which is the kernel of the Gram
+matrix with the same basis, since a basis with unit free coordinates
+depends only on the row space (see linalg).
 """
 
 from __future__ import annotations
@@ -17,7 +39,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .lincomb import reduce_terms_mod_p
-from .linalg import joint_kernel, lowering_closure, nullspace, rank
+from .linalg import joint_kernel, lowering_closure, nullspace
 from .scalars import scalar_to_str
 from .verma import (
     ModuleParams,
@@ -131,7 +153,7 @@ def radical_basis(module, degree: int) -> List[VermaVector]:
     """Basis of the contravariant-form radical on one degree slice."""
     mod = _as_module(module)
     g = mod.gram_matrix(degree)
-    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.num, mod.ring)]
+    return [VermaVector({k: cv for k, cv in zip(g.basis, x) if cv}) for x in nullspace(g.rows, mod.ring, len(g.basis))]
 
 
 def irreducible_dims(module, max_degree: int) -> CharacterTable:
@@ -141,7 +163,7 @@ def irreducible_dims(module, max_degree: int) -> CharacterTable:
         raise ValueError("irreducible dimensions need a field, not a formal ring")
     rows = []
     for n in range(max_degree + 1):
-        r = rank(mod.gram_matrix(n).num, mod.ring)
+        r = mod.gram_matrix(n).rank
         rows.append(CharRow(n, verma_dim(n), verma_dim(n) - r, r))
     return CharacterTable(mod.params, tuple(rows))
 

@@ -19,12 +19,15 @@ compose with no scalar built; `apply_mode` encodes its vector once, runs
 `act` and decodes the image once (`entry_values`).  The memo entries over a field are the
 numerator pairs (den, {partition: int}), once their 1-tuples are
 unwrapped, that `linalg.joint_kernel` takes.
-Gram matrices are built from that memo by the adjointness recurrence over
-degrees and cached per module, each degree once.  The recurrence runs on
-plain ints: a GramMatrix holds integer rows over one common denominator
-over Q and residues over F_p (Poly entries over a formal ring), read
-straight from the memo entries.  Those rows, `num`, go to `linalg.rank`
-and `linalg.nullspace` as they are; its Fraction, Fp or Poly entries are
+Gram slices are cached per module, each degree once.  Over a field a
+GramMatrix holds `rows`: the echelon of int rows whose kernel is the
+radical of the form, one per unit of rank, built from the rows of degrees
+n - 1 and n - 2 and the memo entries of L(1) and L(2) (see `singular` for
+why that suffices).  Its rank is their count, and `linalg.nullspace` takes
+them as they are.  The full matrix `num`, integer rows over one common
+denominator over Q and residues over F_p (Poly entries over a formal
+ring), is built from the memo by the adjointness recurrence over degrees
+only when it is read, once per slice; its Fraction, Fp or Poly entries are
 a view built when read (`field_value`).
 
 Every computation here is pure: vectors are immutable maps from partitions
@@ -33,18 +36,20 @@ to scalars, and independent degrees may be processed in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lincomb import LinComb, merge
+from .linalg import row_basis
 from .scalars import (
     QQ,
     ZERO_ENTRY,
     Buckets,
     Entry,
     Ring,
+    RingMismatchError,
     Scalar,
     add_image,
     add_products,
@@ -144,27 +149,47 @@ class ModuleParams:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Contravariant form values on one degree slice.
+    """Contravariant form on one degree slice.
 
     entries[i][j] = <L(-basis[i]) v, L(-basis[j]) v>, where the form is the
     unique symmetric bilinear form with <v, v> = 1 for which L(n) and L(-n)
     are adjoint.
 
-    The values are stored as G = num / den, in the canonical form of Poly:
-    over Q, num holds integer rows over one positive common denominator den
-    that shares no factor with all of them; over F_p, residues in [0, p)
-    with den 1; over a formal ring, the Poly entries themselves with den 1.
-    An all-zero matrix has den 1.  entries is a derived view that builds
-    the Fraction, Fp or Poly values when it is read.  Over a field num is
-    den * G as the int rows linalg's rank and nullspace take, with the same
-    rank and kernel as G.
+    Over a field the slice is held as rows: int rows {column: int} over the
+    basis, in echelon form (`linalg.row_basis`), whose kernel is the
+    radical of the form on this slice.  There are rank of them, against
+    len(basis) rows of the full matrix, and they span its row space.  They
+    are built from the rows of degrees n - 1 and n - 2 (see
+    VermaModule.gram_matrix).  rank and in_radical read them; nullspace
+    takes them as they are.  Over a formal ring rows is None.
+
+    The full matrix is built only when num, den or entries is read, once per
+    slice, by the adjointness recurrence (VermaModule._gram_from_lower).
+    Its values are G = num / den, in the canonical form of Poly: over Q, num
+    holds integer rows over one positive common denominator den that shares
+    no factor with all of them; over F_p, residues in [0, p) with den 1;
+    over a formal ring, the Poly entries themselves with den 1.  An all-zero
+    matrix has den 1.  entries builds the Fraction, Fp or Poly values from
+    num when it is read.
     """
 
     degree: int
     basis: Tuple[Partition, ...]
-    num: Tuple[tuple, ...]
-    den: int
+    rows: Optional[Tuple[Dict[int, int], ...]]
     ring: Ring
+    module: "VermaModule" = field(compare=False, repr=False)
+
+    @cached_property
+    def _values(self) -> Tuple[Tuple[tuple, ...], int]:
+        return self.module._gram_from_lower(self.degree)
+
+    @property
+    def num(self) -> Tuple[tuple, ...]:
+        return self._values[0]
+
+    @property
+    def den(self) -> int:
+        return self._values[1]
 
     @property
     def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -172,6 +197,14 @@ class GramMatrix:
             return self.num
         p = self.ring.char
         return tuple(tuple(field_value(v, self.den, p) for v in row) for row in self.num)
+
+    @property
+    def rank(self) -> int:
+        """Rank of the form on this slice; RingMismatchError over a formal
+        ring."""
+        if self.rows is None:
+            raise RingMismatchError("a Gram rank needs a field, not a polynomial ring")
+        return len(self.rows)
 
     def in_radical(self, vec: VermaVector) -> bool:
         """True when vec, a vector of this degree, pairs to zero with every
@@ -182,8 +215,10 @@ class GramMatrix:
         if len(support) != len(vec.terms):
             raise ValueError(f"vector has terms outside degree {self.degree}")
         xs = numerators(support, self.ring)[1].items()
-        p = 0 if self.ring.formal else self.ring.char
-        sums = (sum([row[j] * x for j, x in xs]) for row in self.num)
+        if self.ring.formal:
+            return not any(sum([row[j] * x for j, x in xs]) for row in self.num)
+        p = self.ring.char
+        sums = (sum([row[j] * x for j, x in xs if j in row]) for row in self.rows)
         return not any(s % p if p else s for s in sums)
 
 
@@ -290,7 +325,57 @@ class VermaModule:
         return vec
 
     def gram_matrix(self, degree: int) -> GramMatrix:
-        """Contravariant Gram matrix of one degree slice.
+        """Contravariant form on one degree slice, as a GramMatrix.
+
+        Over a field the slice's rows are the echelon of the rows of degree
+        n - 1 composed with L(1) and those of degree n - 2 composed with
+        L(2); their kernel is the radical (proof in `singular`).  Degrees
+        are filled bottom-up, so every lower slice is cached too; num, den
+        and entries are built when read (see GramMatrix).
+        """
+        ring = self.ring
+        if degree < 0:
+            return GramMatrix(degree, (), None if ring.formal else (), ring, self)
+        for n in range(len(self._gram), degree + 1):
+            rows = None if ring.formal else self._form_rows(n)
+            self._gram[n] = GramMatrix(n, partitions(n), rows, ring, self)
+        return self._gram[degree]
+
+    def _form_rows(self, n: int) -> Tuple[Dict[int, int], ...]:
+        """Echelon rows of the degree-n form over a field, whose kernel is
+        its radical: the rows f o L(k) for f in the rows of degree n - k,
+        k = 1, 2, reduced by `linalg.row_basis`; F_0 is [{0: 1}].  Row
+        f o L(k) reads the memo entries L(k) L(-mu) v of the basis
+        monomials mu.  Over Q every column of one map is scaled to the lcm
+        of the map's denominators: that scales each composed row as a whole
+        and keeps its kernel, where scaling columns one by one would not."""
+        if not n:
+            return ({0: 1},)
+        basis = partitions(n)
+        composed = []
+        for k in (1, 2):
+            if k > n:
+                break
+            lower = self._gram[n - k]
+            index = {nu: i for i, nu in enumerate(lower.basis)}
+            images = [self._act(k, mu) for mu in basis]
+            den = lcm(*(d for d, _ in images))
+            # The map's matrix by rows: lower basis index -> {column: int}.
+            by_row: Dict[int, Dict[int, int]] = {}
+            for j, (d, image) in enumerate(images):
+                for nu, v in image.items():
+                    by_row.setdefault(index[nu], {})[j] = v[0] * (den // d)
+            for f in lower.rows:
+                acc: Dict[int, int] = {}
+                for i, a in f.items():
+                    for j, x in by_row.get(i, {}).items():
+                        acc[j] = acc.get(j, 0) + a * x
+                composed.append(acc)
+        return tuple(row_basis(composed, self.ring))
+
+    def _gram_from_lower(self, n: int) -> Tuple[Tuple[tuple, ...], int]:
+        """num and den of the degree-n Gram matrix, from those of the
+        slices of degree below n (see GramMatrix), built on first read.
 
         Built by the adjointness recurrence: for lambda = (k, lambda') the
         form moves L(-k) across as L(k), so
@@ -298,34 +383,21 @@ class VermaModule:
             G_n[lambda, mu] = sum_nu G_{n-k}[lambda', nu] [L(k) L(-mu) v]_nu.
 
         Each column mu takes one straightening L(k) L(-mu) v per first part
-        k, and each entry is a short dot product with a row of a lower
-        degree.  Degrees are filled bottom-up, so every lower slice is
-        cached too.  No symmetry shortcut is taken; the test suite checks
-        symmetry, and the entrywise definition, independently.
-        """
-        if degree < 0:
-            return GramMatrix(degree, (), (), 1, self.ring)
-        for n in range(len(self._gram), degree + 1):
-            self._gram[n] = self._gram_from_lower(n)
-        return self._gram[degree]
-
-    def _gram_from_lower(self, n: int) -> GramMatrix:
-        """Degree-n Gram matrix from the cached slices of degree below n.
-
-        Entry (lambda, mu) with lambda = (k, lambda') is the dot product of
-        the lower slice's row lambda', num / den, with the column
-        L(k) L(-mu) v, whose memo entry gives its numerators over its own
-        denominator d (decoded to Poly values over a formal ring).  Every
-        column is rescaled to one slice denominator, the lcm of
-        the products den * d, so each entry is one int dot product: reduced
-        mod p over F_p, and over Q the content shared by that denominator and
-        all entries is divided out at the end.  Over a formal ring every
-        denominator is 1.
+        k, and each entry is a short dot product with the lower slice's row
+        lambda', num / den, and the column's memo entry, its numerators
+        over its own denominator d (decoded to Poly values over a formal
+        ring).  Every column is rescaled to one slice denominator, the lcm
+        of the products den * d, so each entry is one int dot product:
+        reduced mod p over F_p, and over Q the content shared by that
+        denominator and all entries is divided out at the end.  Over a
+        formal ring every denominator is 1.  No symmetry shortcut is taken;
+        the test suite checks symmetry, and the entrywise definition,
+        independently.
         """
         basis = partitions(n)
         ring = self.ring
         if not n:
-            return GramMatrix(0, basis, ((ring.one() if ring.formal else 1,),), 1, ring)
+            return ((ring.one() if ring.formal else 1,),), 1
         # Rows with first part k form one contiguous block of the basis.
         blocks = []
         den = 1
@@ -352,7 +424,7 @@ class VermaModule:
                 dots = [sum([low[j] * x for j, x in col], zero) for col in cols]
                 rows.append(tuple([x % p for x in dots]) if p else tuple(dots))
         if ring.formal or p:
-            return GramMatrix(n, basis, tuple(rows), 1, ring)
+            return tuple(rows), 1
         g = den
         for row in rows:
             if g == 1:
@@ -360,7 +432,7 @@ class VermaModule:
             g = gcd(g, *row)
         if g != 1:
             rows = [tuple([x // g for x in row]) for row in rows]
-        return GramMatrix(n, basis, tuple(rows), den // g, ring)
+        return tuple(rows), den // g
 
     def project_vacuum_module(self, vec: VermaVector) -> VermaVector:
         """Image in the quotient by the submodule generated by L(-1) v.

@@ -16,7 +16,8 @@ from virfock.singular import (
     singular_degrees,
     singular_space,
 )
-from virfock.verma import verma_module
+from virfock import linalg
+from virfock.verma import VermaModule, verma_dim, verma_module
 
 # The unique degree-6 kernel vector of V(1/2, 0) over Q, normalized so the
 # lexicographically largest partition carries coefficient 1.  Its projection
@@ -182,6 +183,18 @@ def test_prime_sweep_matches_fock_counts_except_in_characteristic_seven(p):
         first = next(n for n, (a, b) in enumerate(zip(irr, fock)) if a != b)
         assert first == CHAR7_FIRST_DROP[h], h
         assert all(a <= b for a, b in zip(irr, fock)), h
+
+
+def test_full_rank_ranks_build_no_gram_matrix(monkeypatch):
+    # Every slice of V(7/3, 5/11) has full rank and 56-bit denominators by
+    # degree 14; its ranks come from the echelon rows alone.
+    def unused(*args):
+        raise AssertionError("irreducible_dims built a full Gram matrix or ranked one")
+
+    monkeypatch.setattr(VermaModule, "_gram_from_lower", unused)
+    monkeypatch.setattr(linalg, "rank", unused)
+    table = irreducible_dims(VermaModule(Fraction(7, 3), Fraction(5, 11)), 14)
+    assert table.irreducible() == [verma_dim(n) for n in range(15)]
 
 
 def test_character_table_json_shape():

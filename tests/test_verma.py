@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ODD_PRIMES, fractions
 from virfock.lincomb import merge
-from virfock.linalg import det
+from virfock.linalg import det, nullspace, rank
 from virfock.scalars import (
     GF,
     QQ,
@@ -292,6 +292,8 @@ def test_gram_degree_two_formal():
         (4 * h + Fraction(1, 4), 6 * h),
         (6 * h, 8 * h * h + 4 * h),
     )
+    with pytest.raises(RingMismatchError):
+        gram.rank
 
 
 @given(params=st.sampled_from(SAMPLE_PARAMS), deg=st.integers(min_value=0, max_value=5))
@@ -415,6 +417,24 @@ def test_in_radical_matches_the_scalar_pairing(ring, point, data):
                 gram.in_radical(VermaVector({**vec.terms, basis[-1]: other}))
 
 
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: f"F{r.char}" if r.char else "Q")
+@given(point=st.one_of(st.sampled_from(KAC_POINTS), st.tuples(fractions(max_num=20, max_den=8), fractions(max_num=20, max_den=8))))
+def test_echelon_rows_span_the_row_space_of_the_full_gram_matrix(ring, point):
+    # The rows come from degrees n - 1 and n - 2 through L(1) and L(2); the
+    # full matrix, num, is built from every L(k) and ranked as it stands.
+    c, h = point
+    try:
+        mod = VermaModule(c, h, ring)
+    except DenominatorDivisibleByP:
+        assume(False)
+    for n in range(11):
+        gram = mod.gram_matrix(n)
+        assert gram.rank == rank(gram.num, ring)
+        assert rank([*gram.rows, *gram.num], ring) == gram.rank
+        want = [VermaVector({k: cv for k, cv in zip(gram.basis, x) if cv}) for x in nullspace(gram.num, ring)]
+        assert radical_basis(mod, n) == want
+
+
 def test_in_radical_rejects_a_vector_of_another_degree():
     # A term outside the slice pairs with no row of the form; ignoring it
     # would make L(-3) v look like a radical vector of degree 2.
@@ -431,8 +451,9 @@ def test_gram_requested_first_at_degree_ten_matches_upward_fill():
     for n in range(11):
         upward.gram_matrix(n)
     fresh = VermaModule(Fraction(1, 2), Fraction(1, 16))
-    assert fresh.gram_matrix(10) == upward.gram_matrix(10)
-    assert fresh.gram_matrix(7) == upward.gram_matrix(7)
+    for n in (10, 7):
+        assert fresh.gram_matrix(n) == upward.gram_matrix(n)
+        assert (fresh.gram_matrix(n).num, fresh.gram_matrix(n).den) == (upward.gram_matrix(n).num, upward.gram_matrix(n).den)
 
 
 def _kac_h(r, s, t):
