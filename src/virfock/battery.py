@@ -17,10 +17,9 @@ degree-5 mode expansions by expanding the normal-ordered products by hand.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import (
     MODE_PARITY,
@@ -142,8 +141,7 @@ H_SECTORS: Dict[Fraction, Tuple[Tuple[str, int], ...]] = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     group: str
     criterion: int
@@ -152,9 +150,9 @@ class CheckResult:
     elapsed: float
 
 
-@dataclass
 class VerificationReport:
-    results: List[CheckResult]
+    def __init__(self, results: List[CheckResult]):
+        self.results = results
 
     @property
     def failures(self) -> List[CheckResult]:

@@ -4,32 +4,26 @@
 Every scalar crosses this boundary as an exact string ("num/den", "k mod p",
 or a polynomial in h); there is no floating point anywhere.  JSON output is
 deterministic: identical configurations produce byte-identical bytes.
+
+Each command imports the engine modules it runs inside its own function, so
+a call loads only those, with `scalars`, `lincomb` and `linalg` beneath
+them: `singvec` and `irrdims` load `verma` and `singular`; `fock-dims`,
+`vir-span` and `hwvec` load `fock`; `mode-apply` loads `verma` and `modes`;
+`verify-paper` loads the battery and with it every module.  This module
+itself imports only `scalars`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .fock import (
-    NS,
-    RAMOND,
-    FockVector,
-    fock_hw_vectors,
-    mode_str,
-    monomial_str,
-    sector_dims,
-    sector_hw_vector,
-    slice_weight2,
-    vir_span_dims,
-)
-from .modes import build_state, mode_apply, named_state
 from .scalars import (
     QQ,
     CharacteristicTwoError,
@@ -37,13 +31,17 @@ from .scalars import (
     Ring,
     scalar_to_str,
 )
-from .singular import irreducible_dims, singular_space
-from .verma import VermaModule, verma_module
+
+if TYPE_CHECKING:
+    from .fock import FockVector
+    from .verma import VermaModule
 
 FORMATS = ("json", "csv", "pretty")
 
 
 def _module(cfg: argparse.Namespace) -> VermaModule:
+    from .verma import verma_module
+
     ring = Ring(cfg.char, cfg.h.strip() == "h")
     if cfg.c.strip() == "h":
         raise ValueError("--c must be a number: only --h may be the formal weight h")
@@ -51,6 +49,8 @@ def _module(cfg: argparse.Namespace) -> VermaModule:
 
 
 def _fock_display(v: FockVector) -> str:
+    from .fock import monomial_str
+
     return " + ".join(f"({scalar_to_str(cv)})*{monomial_str(t)}" for t, cv in v.items()) or "0"
 
 
@@ -58,12 +58,17 @@ def _fock_display(v: FockVector) -> str:
 
 
 def cmd_singvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .singular import singular_space
+
     mod = _module(cfg)
     sb = singular_space(mod, cfg.degree)
     return sb.to_json(), 0
 
 
 def cmd_irrdims(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .singular import irreducible_dims
+    from .verma import verma_module
+
     mod = _module(cfg)
     table = irreducible_dims(mod, cfg.max_degree)
     data = table.to_json()
@@ -78,6 +83,8 @@ def cmd_irrdims(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_fock_dims(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .fock import mode_str, sector_dims, slice_weight2
+
     dims = sector_dims(cfg.sector, cfg.parity, cfg.max_degree)
     return {
         "sector": cfg.sector,
@@ -90,6 +97,8 @@ def cmd_fock_dims(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .fock import sector_hw_vector, vir_span_dims
+
     ring = Ring(cfg.char)
     start = sector_hw_vector(cfg.sector, cfg.parity, ring)
     dims = vir_span_dims(start, cfg.max_degree)
@@ -103,6 +112,8 @@ def cmd_vir_span(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_hwvec(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .fock import fock_hw_vectors, mode_str, slice_weight2
+
     ring = Ring(cfg.char)
     w2 = slice_weight2(cfg.sector, cfg.parity, cfg.degree)
     vecs = fock_hw_vectors(cfg.sector, cfg.parity, Fraction(w2, 2), ring)
@@ -123,6 +134,8 @@ def _parse_word(text: str) -> List[int]:
 
 
 def cmd_mode_apply(cfg: argparse.Namespace) -> Tuple[dict, int]:
+    from .modes import build_state, mode_apply, named_state
+
     mod = _module(cfg)
     ring = mod.ring
     if cfg.state in ("s", "u"):
@@ -147,7 +160,6 @@ def cmd_mode_apply(cfg: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_verify_paper(cfg: argparse.Namespace) -> Tuple[dict, int]:
-    # Imported here so that the other commands do not load the battery.
     from .battery import run_battery
 
     report = run_battery(cfg.only)
@@ -221,6 +233,8 @@ def _coeff_str(coeff) -> str:
 
 
 def render_csv(command: str, data: dict) -> str:
+    import csv
+
     head, rows = _csv_rows(command, data)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -299,6 +313,8 @@ def render(cfg: argparse.Namespace, data: dict) -> str:
 
 
 def _sector_arg(text: str) -> str:
+    from .fock import NS, RAMOND
+
     key = text.strip().upper()
     if key in ("NS", "N"):
         return NS
@@ -325,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "max" in flags:
             sp.add_argument("--max", dest="max_degree", type=int, default=10, help="maximum degree")
         if "sector" in flags:
-            sp.add_argument("--sector", type=_sector_arg, default=NS, help="fermion sector: NS or R")
+            sp.add_argument("--sector", type=_sector_arg, default="NS", help="fermion sector: NS or R")
             sp.add_argument("--parity", type=int, choices=(0, 1), default=0, help="monomial length parity")
         if "charonly" in flags:
             sp.add_argument("--char", type=int, default=0, help="field characteristic: 0 or an odd prime")
@@ -370,6 +386,19 @@ def _attach_negative_values(argv: List[str]) -> List[str]:
     return out
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to path.  When the write itself fails, a regular file the
+    open created or truncated is removed, so no partial output is left."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+    except OSError:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     cfg = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
@@ -382,8 +411,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            _write_out(cfg.out, text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

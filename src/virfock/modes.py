@@ -46,7 +46,6 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .lincomb import merge
@@ -212,13 +211,13 @@ def mode_apply(state: StateWord, n: int, target: VermaVector, module) -> VermaVe
     return engine_for(module).apply(state, n, target)
 
 
-@dataclass
 class AnnihilationReport:
     """Outcome of checking that a state kills an irreducible quotient."""
 
-    state_degree: int
-    checks: int = 0
-    violations: List[Tuple[int, int, Partition]] = field(default_factory=list)
+    def __init__(self, state_degree: int):
+        self.state_degree = state_degree
+        self.checks = 0
+        self.violations: List[Tuple[int, int, Partition]] = []
 
     @property
     def ok(self) -> bool:
@@ -238,7 +237,7 @@ def verify_annihilation(state: StateWord, module, max_mode: int, max_target_degr
     module = _as_module(module)
     eng = engine_for(module)
     deg_s = state_degree(state)
-    report = AnnihilationReport(state_degree=deg_s)
+    report = AnnihilationReport(deg_s)
     for d in range(max_target_degree + 1):
         basis = partitions(d)
         lo = max(-max_mode, d + deg_s - 1 - max_target_degree)

@@ -41,7 +41,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, Hashable, Iterable, Tuple, Union
@@ -372,22 +371,37 @@ def field_value(n: int, den: int, char: int):
     return Fraction(n) if den == 1 else Fraction(n, den)
 
 
-@dataclass(frozen=True)
 class Ring:
-    """Descriptor of a coefficient ring.
+    """Descriptor of a coefficient ring: immutable, hashable, and equal to
+    any ring of the same characteristic and formality.
 
     char 0 means Q, an odd prime p means F_p.  With formal=True the elements
     are polynomials in the formal weight h over that base field.
     """
 
-    char: int = 0
-    formal: bool = False
-
-    def __post_init__(self):
-        if self.char == 2:
+    def __init__(self, char: int = 0, formal: bool = False):
+        if char == 2:
             raise CharacteristicTwoError("characteristic 2 is unsupported, 2 must be invertible")
-        if self.char != 0 and not is_odd_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or an odd prime, got {self.char}")
+        if char != 0 and not is_odd_prime(char):
+            raise ValueError(f"characteristic must be 0 or an odd prime, got {char}")
+        self.__dict__.update(char=char, formal=formal)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Ring")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Ring")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.char == other.char and self.formal == other.formal
+
+    def __hash__(self):
+        return hash((self.char, self.formal))
+
+    def __repr__(self):
+        return f"Ring(char={self.char!r}, formal={self.formal!r})"
 
     @property
     def base(self) -> "Ring":

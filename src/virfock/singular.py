@@ -35,8 +35,7 @@ depends only on the row space (see linalg).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .lincomb import reduce_terms_mod_p
 from .linalg import joint_kernel, lowering_closure, nullspace
@@ -50,7 +49,6 @@ from .verma import (
 )
 
 
-@dataclass(frozen=True)
 class SingularBasis:
     """Basis of the joint kernel of L(1), L(2) on one degree slice.
 
@@ -58,9 +56,10 @@ class SingularBasis:
     scaled so the lexicographically largest partition has coefficient 1.
     """
 
-    params: ModuleParams
-    degree: int
-    vectors: Tuple[VermaVector, ...]
+    def __init__(self, params: ModuleParams, degree: int, vectors: Tuple[VermaVector, ...]):
+        self.params = params
+        self.degree = degree
+        self.vectors = vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -75,8 +74,7 @@ class SingularBasis:
         }
 
 
-@dataclass(frozen=True)
-class CharRow:
+class CharRow(NamedTuple):
     """Graded dimensions at one degree: Verma slice, form radical, quotient."""
 
     degree: int
@@ -85,12 +83,12 @@ class CharRow:
     irreducible: int
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """Graded dimension data of V(c,h), its radical, and L(c,h), degrees 0..N."""
 
-    params: ModuleParams
-    rows: Tuple[CharRow, ...]
+    def __init__(self, params: ModuleParams, rows: Tuple[CharRow, ...]):
+        self.params = params
+        self.rows = rows
 
     def irreducible(self) -> List[int]:
         return [r.irreducible for r in self.rows]

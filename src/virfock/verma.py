@@ -36,10 +36,9 @@ to scalars, and independent degrees may be processed in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lincomb import LinComb, merge
 from .linalg import row_basis
@@ -138,8 +137,7 @@ class VermaVector(LinComb):
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class ModuleParams:
+class ModuleParams(NamedTuple):
     """Central charge, highest weight, and coefficient ring of a Verma module."""
 
     c: Scalar
@@ -147,7 +145,6 @@ class ModuleParams:
     ring: Ring
 
 
-@dataclass(frozen=True)
 class GramMatrix:
     """Contravariant form on one degree slice.
 
@@ -171,13 +168,31 @@ class GramMatrix:
     over a formal ring, the Poly entries themselves with den 1.  An all-zero
     matrix has den 1.  entries builds the Fraction, Fp or Poly values from
     num when it is read.
+
+    A GramMatrix is immutable.  Two are equal when their degree, basis, rows
+    and ring are; the module that builds num is not compared.
     """
 
-    degree: int
-    basis: Tuple[Partition, ...]
-    rows: Optional[Tuple[Dict[int, int], ...]]
-    ring: Ring
-    module: "VermaModule" = field(compare=False, repr=False)
+    def __init__(
+        self,
+        degree: int,
+        basis: Tuple[Partition, ...],
+        rows: Optional[Tuple[Dict[int, int], ...]],
+        ring: Ring,
+        module: "VermaModule",
+    ):
+        self.__dict__.update(degree=degree, basis=basis, rows=rows, ring=ring, module=module)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GramMatrix")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.basis, self.rows, self.ring) == (other.degree, other.basis, other.rows, other.ring)
+
+    def __repr__(self):
+        return f"GramMatrix(degree={self.degree!r}, basis={self.basis!r}, rows={self.rows!r}, ring={self.ring!r})"
 
     @cached_property
     def _values(self) -> Tuple[Tuple[tuple, ...], int]:

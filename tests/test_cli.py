@@ -6,6 +6,8 @@ deterministic byte for byte, and serialized vectors round trip back into
 engine objects.
 """
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -463,6 +465,50 @@ def test_only_verify_paper_loads_the_battery():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _modules_loaded(code, *args):
+    """Sorted names of the modules a fresh `python -S` interpreter has loaded
+    after running code (which gets args as sys.argv[1:]); -S keeps site .pth
+    files from adding modules of their own."""
+    src = os.path.dirname(os.path.dirname(virfock.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code += "\nimport json\nprint(json.dumps(sorted(sys.modules)))\n"
+    argv = [sys.executable, "-S", "-c", code, *args]
+    done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _modules_loaded("import sys, virfock\nvirfock.clear_caches()")
+    assert [m for m in loaded if m.startswith("virfock.")] == []
+    assert "dataclasses" not in loaded
+
+
+COMMAND_MODULES = [
+    (["irrdims", "--h", "1/16", "--max", "6"], ("fock", "modes", "battery")),
+    (["singvec", "--h", "1/2", "--degree", "4"], ("fock", "modes", "battery")),
+    (["fock-dims", "--max", "4"], ("verma", "singular", "modes", "battery")),
+    (["vir-span", "--max", "4", "--char", "7"], ("verma", "singular", "modes", "battery")),
+    (["hwvec", "--degree", "4", "--char", "7"], ("verma", "singular", "modes", "battery")),
+    (["mode-apply", "--state", "s", "--n", "5", "--h", "h"], ("fock", "singular", "battery")),
+    (["verify-paper", "--only", "det7"], ()),
+]
+
+
+@pytest.mark.parametrize("argv, unused", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, unused):
+    code = (
+        "import io, sys\n"
+        "from virfock.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "status = main(sys.argv[1:])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "assert status == 0, status\n"
+    )
+    loaded = _modules_loaded(code, *argv)
+    assert [m for m in loaded if m in {f"virfock.{u}" for u in unused}] == []
+    assert "dataclasses" not in loaded
+
+
 def test_verify_passing_groups_exit_zero(capsys):
     for group in ("det7", "char7", "fock", "classify", "expansion"):
         code, out, err = run_cli(["verify-paper", "--only", group], capsys)
@@ -521,6 +567,32 @@ def test_out_flag_writes_file_instead_of_stdout(tmp_path, capsys):
     assert out == ""
     _, direct, _ = run_cli(["irrdims", "--h", "0", "--max", "3"], capsys)
     assert path.read_text(encoding="utf-8") == direct
+
+
+@pytest.mark.parametrize("target", ["missing/table.json", "."], ids=["missing-directory", "directory"])
+def test_out_to_an_unwritable_path_is_an_error(tmp_path, target, capsys):
+    path = tmp_path / target
+    code, out, err = run_cli(["irrdims", "--max", "2", "--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_to_out_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_on_full_disk(path, *args, **kwargs):
+        open(path, "w").close()  # the open succeeds and creates the file
+        return FullDisk()
+
+    monkeypatch.setattr("virfock.cli.open", open_on_full_disk, raising=False)
+    path = tmp_path / "table.json"
+    code, out, err = run_cli(["irrdims", "--max", "2", "--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    assert not path.exists()
 
 
 def test_csv_format(capsys):
