@@ -12,7 +12,7 @@ import pytest
 
 import virfock
 from virfock import fock, verma
-from virfock.fock import NS, sector_hw_vector, vir_span_dims
+from virfock.fock import NS, fock_form, sector_hw_vector, vir_span_dims
 from virfock.scalars import GF, QQ, CharacteristicTwoError, Ring, formal_ring
 from virfock.singular import irreducible_dims
 from virfock.verma import GramMatrix, ModuleParams, VermaModule, verma_module
@@ -94,33 +94,31 @@ def test_equal_parameters_share_one_verma_module():
     assert verma_module(Fraction(1, 2), 0, GF(7)) is not mod
 
 
-def _retained() -> int:
+def _retained() -> list:
+    """Entries held by each process-wide memo that clear_caches empties."""
     tables = (verma.partitions, fock._halves, fock._virasoro_term, fock._strict_tuples, fock.sector_basis)
-    return len(verma._module_cache) + sum(t.cache_info().currsize for t in tables)
+    return [len(verma._module_cache), *(t.cache_info().currsize for t in tables)]
 
 
 def _prime_sweep(clear: bool) -> list:
     out = []
     for p in (3, 5, 7, 11, 13):
         ring = GF(p)
-        out.append(
-            (
-                irreducible_dims(verma_module(Fraction(1, 2), 0, ring), 8).irreducible(),
-                vir_span_dims(sector_hw_vector(NS, 0, ring), 8),
-            )
-        )
+        start = sector_hw_vector(NS, 0, ring)
+        irr = irreducible_dims(verma_module(Fraction(1, 2), 0, ring), 8).irreducible()
+        out.append((irr, vir_span_dims(start, 8), fock_form(start, start)))
         if clear:
-            assert _retained() > 0
+            assert all(_retained())
             virfock.clear_caches()
-            assert _retained() == 0
+            assert not any(_retained())
     return out
 
 
 def test_clear_caches_keeps_a_sweep_flat_and_its_results_unchanged():
     virfock.clear_caches()
     kept = _prime_sweep(clear=False)
-    assert _retained() > 0
+    assert all(_retained())
     virfock.clear_caches()
-    assert _retained() == 0
+    assert not any(_retained())
     assert _prime_sweep(clear=True) == kept
     assert kept[2][0] != kept[0][0]  # characteristic 7 departs from the others
