@@ -98,5 +98,5 @@ def clear_caches() -> None:
         verma.partitions.cache_clear()
     fock = sys.modules.get(f"{__name__}.fock")
     if fock is not None:
-        for table in (fock._halves, fock._virasoro_term, fock._strict_tuples, fock.sector_basis):
+        for table in (fock._fermion_term, fock._virasoro_term, fock._strict_tuples, fock.sector_basis):
             table.cache_clear()

@@ -28,9 +28,11 @@ from .fock import (
     FockVector,
     apply_fermion,
     apply_virasoro_fock,
+    fermion_act,
     fermion_monomial,
     fock_form,
     fock_hw_vectors,
+    mode_str,
     reduce_fock_mod_p,
     sector_basis,
     sector_dims,
@@ -635,6 +637,20 @@ def _check_char7_h0_anomaly() -> Tuple[str, str]:
 # ---------------------------------------------------------------- criterion 7
 
 
+def _vanishes(terms: Sequence[Tuple[int, Entry]], p: int) -> bool:
+    """True when the sum of k * entry over the (k, entry) pairs is zero over
+    characteristic p: one bucket sum, with no scalar built."""
+    buckets: Buckets = {}
+    for k, (den, t) in terms:
+        add_products(buckets.setdefault(den, {}), (k,), t)
+    return not normalized_sum(buckets, p)[1]
+
+
+def _unit(key) -> Entry:
+    """The basis vector key as a canonical entry."""
+    return 1, {key: (1,)}
+
+
 def _bracket_fault(act: Callable[[int, Entry], Entry], ring: Ring, c: Scalar, keys: Sequence) -> Optional[tuple]:
     """The first (m, n, key), |m|, |n| <= 3, at which the Virasoro relation
     with central charge c fails on the basis vector key, or None.
@@ -642,17 +658,23 @@ def _bracket_fault(act: Callable[[int, Entry], Entry], ring: Ring, c: Scalar, ke
     act(n, entry) applies L(n) to a canonical entry, so the modes compose
     with no scalar built: each bracket [L(m), L(n)] minus its right-hand
     side is one bucket sum, which must be the zero entry.
+
+    Only m < n is tested, and all 49 brackets per key are still covered.
+    The relation for (n, m) is the negation of that for (m, n): swapping m
+    and n negates [L(m), L(n)] and (m - n) L(m + n), and the central term
+    C(m) delta_{m+n,0} with C(m) = c (m^3 - m)/12 becomes C(-m) = -C(m).
+    For m = n both sides are zero.  So each composed product L(m) L(n) key
+    with m != n is computed once, in the one relation that uses it.
     """
+    p = ring.char
     for key in keys:
-        image = {n: act(n, (1, {key: (1,)})) for n in range(-6, 7)}
+        image = {n: act(n, _unit(key)) for n in range(-6, 7)}
         for m in range(-3, 4):
-            for n in range(-3, 4):
-                central = poly_numerators([(key, central_coeff(m, ring) * c)] if m + n == 0 else [], ring)
-                buckets: Buckets = {}
-                terms = ((1, act(m, image[n])), (-1, act(n, image[m])), (n - m, image[m + n]), (-1, central))
-                for k, (den, t) in terms:
-                    add_products(buckets.setdefault(den, {}), (k,), t)
-                if normalized_sum(buckets, ring.char)[1]:
+            for n in range(m + 1, 4):
+                terms = [(1, act(m, image[n])), (-1, act(n, image[m])), (n - m, image[m + n])]
+                if m + n == 0:
+                    terms.append((-1, poly_numerators([(key, central_coeff(m, ring) * c)], ring)))
+                if not _vanishes(terms, p):
                     return m, n, key
     return None
 
@@ -667,25 +689,37 @@ def _check_verma_bracket() -> Tuple[str, str]:
     return _ok(f"Virasoro relations hold on all monomials of degree <= 8 ({2 * 49 * len(keys)} brackets, char 0 and 7)")
 
 
-def _fock_monomials_upto(sector: str, max_weight2: int) -> List[FockVector]:
+def _fock_keys(sector: str, max_weight2: int) -> List[tuple]:
+    """The sector's basis monomials of doubled weight <= max_weight2, even
+    parity first, each parity by degree."""
     out = []
     for parity in (0, 1):
         d = 0
         while slice_weight2(sector, parity, d) <= max_weight2:
-            out.extend(FockVector(sector, QQ, {t: Fraction(1)}) for t in sector_basis(sector, parity, d))
+            out.extend(sector_basis(sector, parity, d))
             d += 1
     return out
 
 
+def _fock_monomials_upto(sector: str, max_weight2: int) -> List[FockVector]:
+    return [FockVector(sector, QQ, {t: Fraction(1)}) for t in _fock_keys(sector, max_weight2)]
+
+
+def _doubled_modes(sector: str, bound2: int) -> List[int]:
+    """Doubled fermion modes k, |k| <= bound2, ascending: odd k for NS,
+    even for R."""
+    return [k for k in range(-bound2, bound2 + 1) if k % 2 == MODE_PARITY[sector]]
+
+
 def _sector_modes(sector: str, bound2: int) -> List[Fraction]:
     """Fermion modes k/2, |k| <= bound2, ascending: odd k for NS, even for R."""
-    return [Fraction(k, 2) for k in range(-bound2, bound2 + 1) if k % 2 == MODE_PARITY[sector]]
+    return [Fraction(k, 2) for k in _doubled_modes(sector, bound2)]
 
 
 def _check_fock_bracket() -> Tuple[str, str]:
     count = 0
     for sector in (NS, RAMOND):
-        keys = [t for w in _fock_monomials_upto(sector, 16) for t in w.terms]
+        keys = _fock_keys(sector, 16)
         fault = _bracket_fault(partial(virasoro_act, sector, 0), QQ, C_ISING, keys)
         if fault:
             m, n, t = fault
@@ -694,35 +728,66 @@ def _check_fock_bracket() -> Tuple[str, str]:
     return _ok(f"Virasoro relations with c = 1/2 hold on both sectors up to weight 8 ({count} brackets)")
 
 
+def _anticommutator_fault(act: Callable[[int, Entry], Entry], modes: Sequence[int], keys: Sequence) -> Optional[tuple]:
+    """The first (m2, n2, key), m2 <= n2 doubled modes, at which
+    {a(m), a(n)} = delta_{m+n,0} fails on the basis monomial key, or None.
+
+    act(m2, entry) applies a(m2/2) to a canonical entry over Q; each
+    relation is one bucket sum.  The relation is symmetric in (m, n), so
+    testing m <= n covers every ordered pair, and each product a(m) a(n) key
+    is computed once, in the one relation that uses it.
+    """
+    for key in keys:
+        x = _unit(key)
+        image = {m2: act(m2, x) for m2 in modes}
+        for i, m2 in enumerate(modes):
+            for n2 in modes[i:]:
+                if m2 == n2:
+                    terms = [(2, act(m2, image[m2]))]
+                else:
+                    terms = [(1, act(m2, image[n2])), (1, act(n2, image[m2]))]
+                if m2 + n2 == 0:
+                    terms.append((-1, x))
+                if not _vanishes(terms, 0):
+                    return m2, n2, key
+    return None
+
+
 def _check_fock_anticommutation() -> Tuple[str, str]:
     count = 0
     for sector in (NS, RAMOND):
-        modes = _sector_modes(sector, 9)
-        for x in _fock_monomials_upto(sector, 10):
-            for m in modes:
-                am = apply_fermion(m, x)
-                for n in modes:
-                    lhs = apply_fermion(m, apply_fermion(n, x)) + apply_fermion(n, am)
-                    rhs = x if m + n == 0 else x.scale(Fraction(0))
-                    count += 1
-                    if lhs != rhs:
-                        return _bad(f"anticommutator {{a({m}),a({n})}} fails on {sorted(x.terms)} in {sector}")
+        modes = _doubled_modes(sector, 9)
+        keys = _fock_keys(sector, 10)
+        fault = _anticommutator_fault(partial(fermion_act, 0), modes, keys)
+        if fault:
+            m2, n2, t = fault
+            return _bad(f"anticommutator {{a({mode_str(m2)}),a({mode_str(n2)})}} fails on {[t]} in {sector}")
+        count += len(modes) ** 2 * len(keys)
     return _ok(f"anticommutation relations hold on both sectors up to weight 5 ({count} pairs)")
 
 
 def _check_fock_mixed_commutator() -> Tuple[str, str]:
+    """[L(p), a(q)] = -(q + p/2) a(p + q), doubled: with q = q2/2 the
+    relation 2 L(p) a(q) x - 2 a(q) L(p) x + (q2 + p) a(p + q) x = 0 has int
+    coefficients and is one bucket sum.  L(p) x, a(q) x and a(p + q) x are
+    computed once per monomial x."""
     count = 0
     for sector in (NS, RAMOND):
-        modes = _sector_modes(sector, 9)
-        for x in _fock_monomials_upto(sector, 8):
+        modes = _doubled_modes(sector, 9)
+        for t in _fock_keys(sector, 8):
+            x = _unit(t)
+            lx = {p: virasoro_act(sector, 0, p, x) for p in range(-3, 4)}
+            ax = {s2: fermion_act(0, s2, x) for s2 in _doubled_modes(sector, 15)}
             for p in range(-3, 4):
-                lpx = apply_virasoro_fock(p, x)
-                for q in modes:
-                    lhs = apply_virasoro_fock(p, apply_fermion(q, x)) - apply_fermion(q, lpx)
-                    rhs = apply_fermion(p + q, x).scale(-(q + Fraction(p, 2)))
+                for q2 in modes:
+                    terms = (
+                        (2, virasoro_act(sector, 0, p, ax[q2])),
+                        (-2, fermion_act(0, q2, lx[p])),
+                        (q2 + p, ax[q2 + 2 * p]),
+                    )
                     count += 1
-                    if lhs != rhs:
-                        return _bad(f"[L({p}),a({q})] fails on {sorted(x.terms)} in {sector}")
+                    if not _vanishes(terms, 0):
+                        return _bad(f"[L({p}),a({mode_str(q2)})] fails on {[t]} in {sector}")
     return _ok(f"[L(p), a(q)] = -(q + p/2) a(p+q) on both sectors ({count} pairs)")
 
 

@@ -41,8 +41,12 @@ monomial's parity is w2 mod 2, since each factor has odd doubled weight;
 slice_weight2 gives the weight of each slice.  The fermion action is one
 rule for every mode: a factor moves to or from position i at sign (-1)^i,
 and a(0) contracted with itself gives a(0)^2 = 1/2.  The rule states each
-factor in halves, as an int f for the scalar f/2, so the Virasoro memo
-stays in ints; apply_fermion, sigma and fock_form return ring scalars.
+factor in halves, as an int f for the scalar f/2, so both actions stay in
+ints: the image of a monomial under a(m) is memoized per (char, m,
+monomial) as a canonical entry, f over 2 over Q and f times the inverse
+of 2 over F_p, and `fermion_act` extends it to an entry by the same bucket
+sum.  `apply_fermion` encodes, acts and decodes as `apply_virasoro_fock`
+does; sigma and fock_form return ring scalars.
 """
 
 from __future__ import annotations
@@ -52,9 +56,8 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .lincomb import LinComb, merge, reduce_terms_mod_p
-from .linalg import joint_kernel, lowering_closure
 from .scalars import (
-    GF, QQ, Buckets, Entry, Ring, Scalar,
+    GF, QQ, ZERO_ENTRY, Buckets, Entry, Ring, Scalar,
     add_image, entry_values, normalized_sum, poly_numerators, scalar_from_json, scalar_to_json,
 )
 
@@ -205,12 +208,6 @@ def _ends_in_zero_mode(t: FockMonomial) -> bool:
     return bool(t) and t[-1] == 0
 
 
-@lru_cache(maxsize=None)
-def _halves(ring: Ring) -> Dict[int, Scalar]:
-    """The scalar f/2 for each fermion factor f, given in halves."""
-    return {f: ring.of_int(f) / ring.of_int(2) for f in (-2, -1, 1, 2)}
-
-
 def _apply_fermion_term(m2: int, t: FockMonomial):
     """a(m2/2) on one monomial: (new monomial, f) for the factor f/2, or None.
 
@@ -234,19 +231,37 @@ def _apply_fermion_term(m2: int, t: FockMonomial):
     return t[:i] + (n2,) + t[i:], (2 if i % 2 == 0 else -2)
 
 
+@lru_cache(maxsize=None)
+def _fermion_term(p: int, m2: int, t: FockMonomial) -> Entry:
+    """a(m2/2) on one basis monomial as a canonical entry over
+    characteristic p: the rule's f/2 is f over 2 over Q and f times the
+    inverse of 2 over F_p."""
+    hit = _apply_fermion_term(m2, t)
+    if hit is None:
+        return ZERO_ENTRY
+    k = pow(2, -1, p) if p else 1
+    return normalized_sum({1 if p else 2: {hit[0]: [hit[1] * k]}}, p)
+
+
+def fermion_act(p: int, m2: int, entry: Entry) -> Entry:
+    """The fermion mode a(m2/2) applied to a vector given as a canonical
+    entry (den, {monomial: (int,)}) over characteristic p, as a canonical
+    entry: one bucket sum of the memo entries of its monomials."""
+    buckets: Buckets = {}
+    add_image(buckets, entry, _fermion_term, p, m2)
+    return normalized_sum(buckets, p)
+
+
 def apply_fermion(m, vec: FockVector) -> FockVector:
-    """Fermion mode a(m) on a vector; m integer or half-integer per sector."""
+    """Fermion mode a(m) on a vector; m integer or half-integer per sector.
+    The vector is encoded once, acted on by `fermion_act` and decoded once
+    into a fresh vector."""
     m2 = _dbl(m)
     if not _mode_in_sector(m2, vec.sector):
         raise ValueError(f"mode {m} does not belong to the {vec.sector} sector")
-    half = _halves(vec.ring)
-    # a(m) maps distinct monomials to distinct monomials, so no terms merge.
-    out: Dict[FockMonomial, Scalar] = {}
-    for t, cv in vec.terms.items():
-        hit = _apply_fermion_term(m2, t)
-        if hit is not None:
-            out[hit[0]] = cv * half[hit[1]]
-    return vec._like(out)
+    ring = vec.ring
+    entry = fermion_act(ring.char, m2, poly_numerators(vec.terms.items(), ring))
+    return vec._like(entry_values(entry, ring))
 
 
 @lru_cache(maxsize=None)
@@ -347,6 +362,8 @@ def vir_span_dims(start: FockVector, max_degree: int) -> List[int]:
     L(-k_1)...L(-k_j) start, indexed by sector-adjusted degree 0..max_degree;
     see lowering_closure.
     """
+    from .linalg import lowering_closure
+
     if not start:
         raise ValueError("start vector must be nonzero")
     sector, ring = start.sector, start.ring
@@ -358,6 +375,8 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
     """Basis of Virasoro highest weight vectors of the given true weight:
     the joint kernel of L(1) and L(2) on that weight slice, each vector
     normalized so its lexicographically largest monomial has coefficient 1."""
+    from .linalg import joint_kernel
+
     w2 = _dbl(weight)
     parity = int(parity)
     degree = w2 // 2
@@ -383,11 +402,10 @@ def sigma(vec: FockVector) -> FockVector:
         raise ValueError("sigma is defined on the R sector")
     if vec.terms and vec.parity() != 0:
         raise ValueError("sigma expects an even-parity vector")
-    half = _halves(vec.ring)[1]
     out: Dict[FockMonomial, Scalar] = {}
     for t, cv in vec.terms.items():
         if _ends_in_zero_mode(t):
-            out[t[:-1]] = cv * half
+            out[t[:-1]] = cv / 2
         else:
             out[t + (0,)] = cv
     return vec._like(out)
@@ -402,16 +420,14 @@ def fock_form(u: FockVector, v: FockVector) -> Scalar:
     """
     if u.sector != v.sector:
         raise ValueError("form pairing needs a single sector")
-    ring = u.ring
-    half = _halves(ring)[1]
-    acc = ring.zero()
+    acc = u.ring.zero()
     small, large = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
     for t, cv in small.items():
         w = large.get(t)
         if w is not None:
             term = cv * w
             if _ends_in_zero_mode(t):
-                term = term * half
+                term = term / 2
             acc = acc + term
     return acc
 

@@ -22,9 +22,9 @@ another ring.  ``field_value`` builds the Fraction or Fp for an int
 numerator over a denominator, ``poly_value`` the canonical Poly for an int
 tuple over one, and ``conv_add`` is the one int polynomial product.
 
-The Verma straightening memo, the mode engine and the Fock Virasoro memo
-all hold canonical entries (den, {key: int tuple}), the output of
-``poly_numerators``, and all three layers compute on them through the
+The Verma straightening memo, the mode engine and the Fock Virasoro and
+fermion memos all hold canonical entries (den, {key: int tuple}), the
+output of ``poly_numerators``, and all three layers compute on them through the
 one int-sum kernel here: ``add_image`` extends a memoized per-monomial
 action linearly to an entry, the one such loop, ``add_products`` adds
 products into buckets keyed by denominator, ``normalized_sum`` brings

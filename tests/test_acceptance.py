@@ -12,14 +12,18 @@ from functools import partial
 
 import pytest
 
+from test_fock import oracle_fermion_terms
 from virfock.battery import (
     EXPECTED_SINGULAR_DEGREES,
     GENERATING_SINGULAR_DEGREES,
+    _anticommutator_fault,
     _bracket_fault,
+    _doubled_modes,
+    _fock_keys,
     run_battery,
 )
 from virfock.fock import NS, RAMOND, sector_basis, virasoro_act
-from virfock.scalars import QQ
+from virfock.scalars import QQ, entry_values, poly_numerators
 from virfock.verma import partitions, verma_module
 
 CRITERION_LABELS = {
@@ -179,6 +183,41 @@ def test_bracket_check_reports_a_wrong_central_charge(space):
     assert fault is not None
     m, n, _ = fault
     assert m + n == 0 and m not in (-1, 0, 1)
+
+
+@pytest.mark.parametrize("space", ["verma", NS, RAMOND])
+def test_bracket_check_reports_one_wrong_product_with_m_above_n(space):
+    """Negative control: the bracket check tests only m < n, so a wrong
+    L(2)L(-1) key (m > n) must still show, in the (-1, 2) relation."""
+    act, keys = _bracket_action(space)
+    key = keys[-1]
+    lowered = act(-1, (1, {key: (1,)}))
+    assert lowered[1]
+
+    def perturbed(n, entry):
+        den, terms = act(n, entry)
+        if n == 2 and entry == lowered:
+            terms = {**terms, key: (den,)}
+        return den, terms
+
+    assert _bracket_fault(perturbed, QQ, Fraction(1, 2), keys) == (-1, 2, key)
+
+
+def _oracle_fermion_act(zero_square):
+    """a(m2/2) on canonical entries over Q by the rational test rule with
+    a(0)^2 = zero_square."""
+    def act(m2, entry):
+        terms = oracle_fermion_terms(m2, entry_values(entry, QQ), QQ, zero_square)
+        return poly_numerators(terms.items(), QQ)
+    return act
+
+
+def test_anticommutation_check_reports_a_wrong_zero_mode_square():
+    """Negative control: the anticommutation check is silent for the rule
+    with a(0)^2 = 1/2 and fires on {a(0), a(0)} for a(0)^2 = 1."""
+    modes, keys = _doubled_modes(RAMOND, 9), _fock_keys(RAMOND, 10)
+    assert _anticommutator_fault(_oracle_fermion_act(Fraction(1, 2)), modes, keys) is None
+    assert _anticommutator_fault(_oracle_fermion_act(Fraction(1)), modes, keys) == (0, 0, ())
 
 
 def test_singular_catalogue_matches_rocha_caridi_exponents():

@@ -486,7 +486,7 @@ def test_importing_the_package_loads_no_submodule():
 COMMAND_MODULES = [
     (["irrdims", "--h", "1/16", "--max", "6"], ("fock", "modes", "battery")),
     (["singvec", "--h", "1/2", "--degree", "4"], ("fock", "modes", "battery")),
-    (["fock-dims", "--max", "4"], ("verma", "singular", "modes", "battery")),
+    (["fock-dims", "--max", "4"], ("linalg", "verma", "singular", "modes", "battery")),
     (["vir-span", "--max", "4", "--char", "7"], ("verma", "singular", "modes", "battery")),
     (["hwvec", "--degree", "4", "--char", "7"], ("verma", "singular", "modes", "battery")),
     (["mode-apply", "--state", "s", "--n", "5", "--h", "h"], ("fock", "singular", "battery")),

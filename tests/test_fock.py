@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from test_verma import assert_canonical_entry
 from virfock.fock import (
@@ -16,6 +16,7 @@ from virfock.fock import (
     _virasoro_term,
     apply_fermion,
     apply_virasoro_fock,
+    fermion_act,
     fermion_monomial,
     fock_form,
     fock_hw_vectors,
@@ -31,7 +32,7 @@ from virfock.fock import (
     vir_span_dims,
 )
 from virfock.lincomb import merge
-from virfock.scalars import GF, QQ, central_coeff
+from virfock.scalars import GF, QQ, central_coeff, entry_values, poly_numerators
 
 HALF = Fraction(1, 2)
 
@@ -119,10 +120,66 @@ def _all_monomials(magnitudes, max_weight2):
     return out
 
 
+def oracle_fermion(m2, t, zero_square=HALF):
+    """a(m2/2) on the monomial t by the rational rule: (monomial, Fraction),
+    or None for zero.  An annihilator removes its partner from position i at
+    sign (-1)^i, a(0) contracts with its partner to zero_square, and a
+    creator is inserted behind the factors larger than it at sign (-1)^i."""
+    n2 = abs(m2)
+    if n2 in t:
+        if m2 < 0:
+            return None
+        i = t.index(n2)
+        return t[:i] + t[i + 1:], (zero_square if m2 == 0 else Fraction(1)) * (-1) ** i
+    if m2 > 0:
+        return None
+    i = sum(1 for f in t if f > n2)
+    return t[:i] + (n2,) + t[i:], Fraction((-1) ** i)
+
+
+def oracle_fermion_terms(m2, terms, ring, zero_square=HALF):
+    """a(m2/2) on {monomial: scalar} over ring by oracle_fermion."""
+    out = {}
+    for t, cv in terms.items():
+        hit = oracle_fermion(m2, t, zero_square)
+        if hit is not None:
+            merge(out, {hit[0]: cv * ring.coerce(hit[1])})
+    return out
+
+
+def _coeff(ring, num, den):
+    """num/den in ring, or num where p divides den."""
+    return ring.coerce(Fraction(num, den) if not ring.char or den % ring.char else num)
+
+
+@settings(max_examples=200)
+@given(
+    sector=st.sampled_from([NS, RAMOND]),
+    p=st.sampled_from([0, 3, 5, 7, 11, 13]),
+    m2=st.integers(min_value=-22, max_value=22),
+    data=st.data(),
+)
+def test_fermion_action_matches_the_rational_rule(sector, p, m2, data):
+    parity = 1 if sector == NS else 0
+    m2 += (m2 - parity) % 2
+    ring = GF(p) if p else QQ
+    monomials = _all_monomials(range(parity, 21, 2), 20)
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(monomials), st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=4))
+    terms = {}
+    for t, num, den in picks:
+        merge(terms, {t: _coeff(ring, num, den)})
+    want = oracle_fermion_terms(m2, terms, ring)
+    assert apply_fermion(Fraction(m2, 2), FockVector(sector, ring, terms)).terms == want
+    entry = fermion_act(p, m2, poly_numerators(terms.items(), ring))
+    assert_canonical_entry(entry, ring, (sector, m2))
+    assert entry_values(entry, ring) == want
+
+
 @pytest.mark.parametrize("sector", [NS, RAMOND])
 def test_fermion_modes_map_distinct_monomials_to_distinct_monomials(sector):
-    # apply_fermion stores each image term without merging, which is exact
-    # only because a(m) is injective on basis monomials.
+    # a(m) is injective on basis monomials, so the images of a vector's
+    # monomials never merge: each term of a(m) x comes from one term of x.
     parity = 1 if sector == NS else 0
     monomials = _all_monomials(range(parity, 21, 2), 20)
     for m2 in (m2 for m2 in range(-10, 11) if m2 % 2 == parity):

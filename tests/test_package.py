@@ -12,7 +12,7 @@ import pytest
 
 import virfock
 from virfock import fock, verma
-from virfock.fock import NS, fock_form, sector_hw_vector, vir_span_dims
+from virfock.fock import NS, apply_fermion, fock_form, sector_hw_vector, vir_span_dims
 from virfock.scalars import GF, QQ, CharacteristicTwoError, Ring, formal_ring
 from virfock.singular import irreducible_dims
 from virfock.verma import GramMatrix, ModuleParams, VermaModule, verma_module
@@ -96,7 +96,7 @@ def test_equal_parameters_share_one_verma_module():
 
 def _retained() -> list:
     """Entries held by each process-wide memo that clear_caches empties."""
-    tables = (verma.partitions, fock._halves, fock._virasoro_term, fock._strict_tuples, fock.sector_basis)
+    tables = (verma.partitions, fock._fermion_term, fock._virasoro_term, fock._strict_tuples, fock.sector_basis)
     return [len(verma._module_cache), *(t.cache_info().currsize for t in tables)]
 
 
@@ -106,7 +106,7 @@ def _prime_sweep(clear: bool) -> list:
         ring = GF(p)
         start = sector_hw_vector(NS, 0, ring)
         irr = irreducible_dims(verma_module(Fraction(1, 2), 0, ring), 8).irreducible()
-        out.append((irr, vir_span_dims(start, 8), fock_form(start, start)))
+        out.append((irr, vir_span_dims(start, 8), fock_form(start, start), apply_fermion(Fraction(-1, 2), start)))
         if clear:
             assert all(_retained())
             virfock.clear_caches()
