@@ -60,6 +60,7 @@ from .scalars import (
     Scalar,
     add_products,
     central_coeff,
+    entry_values,
     formal_ring,
     normalized_sum,
     poly_numerators,
@@ -861,17 +862,31 @@ def _check_radical_submodule() -> Tuple[str, str]:
 # ---------------------------------------------------------------- base change
 
 
+def _gram_by_definition(mod, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The degree-n Gram matrix of mod from its definition: entry
+    (lambda, mu) is the coefficient of v in L(lambda_k)...L(lambda_1) L(-mu) v,
+    applying L(lambda_1) first, through `act` on entries."""
+    ring = mod.ring
+    out = []
+    for lam in partitions(n):
+        row = []
+        for mu in partitions(n):
+            entry: Entry = (1, {mu: (1,)})
+            for k in lam:
+                entry = mod.act(k, entry)
+            row.append(entry_values(entry, ring).get((), ring.zero()))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _check_basechange_gram() -> Tuple[str, str]:
-    for p in PRIMES:
-        ring = GF(p)
-        for h in (Fraction(0), HALF, SIXTEENTH):
-            mq = _mod(h)
-            mp = _mod(h, ring)
-            for n in range(7):
-                gq = mq.gram_matrix(n)
-                gp = mp.gram_matrix(n)
-                red = tuple(tuple(reduce_mod_p(x, p) for x in row) for row in gq.entries)
-                if red != gp.entries:
+    for h in (Fraction(0), HALF, SIXTEENTH):
+        grams = [_gram_by_definition(_mod(h), n) for n in range(7)]
+        for p in PRIMES:
+            mp = _mod(h, GF(p))
+            for n, gq in enumerate(grams):
+                red = tuple(tuple(reduce_mod_p(x, p) for x in row) for row in gq)
+                if red != _gram_by_definition(mp, n):
                     return _bad(f"Gram matrices at degree {n}, h={h} do not commute with reduction mod {p}")
     return _ok("Gram matrices commute with reduction mod p for p in {3,5,7,11,13}, degrees <= 6")
 

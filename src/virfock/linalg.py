@@ -4,8 +4,8 @@ row_basis, rank and nullspace take int rows, dense int sequences or
 {column: int} dicts: over Q integer numerators, over F_p any ints, reduced
 mod p.  Scaling a row by a nonzero rational changes neither the rank nor
 the kernel, so a row of rationals is passed times a common denominator and
-no denominator is needed; a Gram slice's `rows` and `num` are such
-matrices already.  row_basis gives the echelon's pivot rows as
+no denominator is needed; a Gram slice's `rows` are such a matrix
+already.  row_basis gives the echelon's pivot rows as
 {column: int} dicts: int rows again, with the same row space, so one
 echelon gives a slice's rank (their count) and its kernel (nullspace).
 A formal ring, checked first, or a non-int entry raises

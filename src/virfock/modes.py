@@ -230,9 +230,11 @@ def verify_annihilation(state: StateWord, module, max_mode: int, max_target_degr
 
     The quotient is realized inside the Verma module as basis monomials
     modulo the contravariant-form radical; an image vanishes in L(c, h)
-    exactly when the Gram matrix annihilates its coordinates.  Modes n run
-    over -max_mode <= n and land in degrees <= max_target_degree, so all
-    needed Gram matrices stay small.  Violations are collected, not raised.
+    exactly when it lies in the radical of its Gram slice
+    (GramMatrix.in_radical).  Modes n run over -max_mode <= n and land in
+    degrees <= max_target_degree, so all needed Gram slices stay small.
+    Violations are collected, not raised.  Gram slices exist over a field
+    only: over a formal ring the first slice read raises RingMismatchError.
     """
     module = _as_module(module)
     eng = engine_for(module)

@@ -19,16 +19,12 @@ compose with no scalar built; `apply_mode` encodes its vector once, runs
 `act` and decodes the image once (`entry_values`).  The memo entries over a field are the
 numerator pairs (den, {partition: int}), once their 1-tuples are
 unwrapped, that `linalg.joint_kernel` takes.
-Gram slices are cached per module, each degree once.  Over a field a
-GramMatrix holds `rows`: the echelon of int rows whose kernel is the
-radical of the form, one per unit of rank, built from the rows of degrees
-n - 1 and n - 2 and the memo entries of L(1) and L(2) (see `singular` for
-why that suffices).  Its rank is their count, and `linalg.nullspace` takes
-them as they are.  The full matrix `num`, integer rows over one common
-denominator over Q and residues over F_p (Poly entries over a formal
-ring), is built from the memo by the adjointness recurrence over degrees
-only when it is read, once per slice; its Fraction, Fp or Poly entries are
-a view built when read (`field_value`).
+Gram slices are cached per module, each degree once, and exist over a
+field only.  A GramMatrix holds `rows`: the echelon of int rows whose
+kernel is the radical of the form, one per unit of rank, built from the
+rows of degrees n - 1 and n - 2 and the memo entries of L(1) and L(2) (see
+`singular` for why that suffices).  Its rank is their count, and
+`linalg.nullspace` takes them as they are.  No full Gram matrix is built.
 
 Every computation here is pure: vectors are immutable maps from partitions
 to scalars, and independent degrees may be processed in any order.
@@ -36,9 +32,9 @@ to scalars, and independent degrees may be processed in any order.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import lcm
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .lincomb import LinComb, merge
 from .linalg import row_basis
@@ -54,7 +50,6 @@ from .scalars import (
     add_products,
     central_coeff,
     entry_values,
-    field_value,
     normalized_sum,
     numerators,
     poly_numerators,
@@ -145,80 +140,28 @@ class ModuleParams(NamedTuple):
     ring: Ring
 
 
-class GramMatrix:
-    """Contravariant form on one degree slice.
+class GramMatrix(NamedTuple):
+    """Contravariant form on one degree slice, over a field.
 
-    entries[i][j] = <L(-basis[i]) v, L(-basis[j]) v>, where the form is the
-    unique symmetric bilinear form with <v, v> = 1 for which L(n) and L(-n)
-    are adjoint.
-
-    Over a field the slice is held as rows: int rows {column: int} over the
-    basis, in echelon form (`linalg.row_basis`), whose kernel is the
-    radical of the form on this slice.  There are rank of them, against
-    len(basis) rows of the full matrix, and they span its row space.  They
-    are built from the rows of degrees n - 1 and n - 2 (see
-    VermaModule.gram_matrix).  rank and in_radical read them; nullspace
-    takes them as they are.  Over a formal ring rows is None.
-
-    The full matrix is built only when num, den or entries is read, once per
-    slice, by the adjointness recurrence (VermaModule._gram_from_lower).
-    Its values are G = num / den, in the canonical form of Poly: over Q, num
-    holds integer rows over one positive common denominator den that shares
-    no factor with all of them; over F_p, residues in [0, p) with den 1;
-    over a formal ring, the Poly entries themselves with den 1.  An all-zero
-    matrix has den 1.  entries builds the Fraction, Fp or Poly values from
-    num when it is read.
-
-    A GramMatrix is immutable.  Two are equal when their degree, basis, rows
-    and ring are; the module that builds num is not compared.
+    The form is the unique symmetric bilinear form with <v, v> = 1 for
+    which L(n) and L(-n) are adjoint; its matrix on the slice has entries
+    <L(-basis[i]) v, L(-basis[j]) v>.  The slice is held as rows: int rows
+    {column: int} over the basis, in echelon form (`linalg.row_basis`),
+    whose kernel is the radical of the form on this slice.  There are rank
+    of them, against len(basis) rows of the full matrix, and they span its
+    row space.  They are built from the rows of degrees n - 1 and n - 2
+    (see VermaModule.gram_matrix).  rank and in_radical read them;
+    nullspace takes them as they are.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        basis: Tuple[Partition, ...],
-        rows: Optional[Tuple[Dict[int, int], ...]],
-        ring: Ring,
-        module: "VermaModule",
-    ):
-        self.__dict__.update(degree=degree, basis=basis, rows=rows, ring=ring, module=module)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable GramMatrix")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.basis, self.rows, self.ring) == (other.degree, other.basis, other.rows, other.ring)
-
-    def __repr__(self):
-        return f"GramMatrix(degree={self.degree!r}, basis={self.basis!r}, rows={self.rows!r}, ring={self.ring!r})"
-
-    @cached_property
-    def _values(self) -> Tuple[Tuple[tuple, ...], int]:
-        return self.module._gram_from_lower(self.degree)
-
-    @property
-    def num(self) -> Tuple[tuple, ...]:
-        return self._values[0]
-
-    @property
-    def den(self) -> int:
-        return self._values[1]
-
-    @property
-    def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
-        if self.ring.formal:
-            return self.num
-        p = self.ring.char
-        return tuple(tuple(field_value(v, self.den, p) for v in row) for row in self.num)
+    degree: int
+    basis: Tuple[Partition, ...]
+    rows: Tuple[Dict[int, int], ...]
+    ring: Ring
 
     @property
     def rank(self) -> int:
-        """Rank of the form on this slice; RingMismatchError over a formal
-        ring."""
-        if self.rows is None:
-            raise RingMismatchError("a Gram rank needs a field, not a polynomial ring")
+        """Rank of the form on this slice."""
         return len(self.rows)
 
     def in_radical(self, vec: VermaVector) -> bool:
@@ -230,8 +173,6 @@ class GramMatrix:
         if len(support) != len(vec.terms):
             raise ValueError(f"vector has terms outside degree {self.degree}")
         xs = numerators(support, self.ring)[1].items()
-        if self.ring.formal:
-            return not any(sum([row[j] * x for j, x in xs]) for row in self.num)
         p = self.ring.char
         sums = (sum([row[j] * x for j, x in xs if j in row]) for row in self.rows)
         return not any(s % p if p else s for s in sums)
@@ -342,18 +283,19 @@ class VermaModule:
     def gram_matrix(self, degree: int) -> GramMatrix:
         """Contravariant form on one degree slice, as a GramMatrix.
 
-        Over a field the slice's rows are the echelon of the rows of degree
-        n - 1 composed with L(1) and those of degree n - 2 composed with
-        L(2); their kernel is the radical (proof in `singular`).  Degrees
-        are filled bottom-up, so every lower slice is cached too; num, den
-        and entries are built when read (see GramMatrix).
+        The slice's rows are the echelon of the rows of degree n - 1
+        composed with L(1) and those of degree n - 2 composed with L(2);
+        their kernel is the radical (proof in `singular`).  Degrees are
+        filled bottom-up, so every lower slice is cached too.  Over a formal
+        ring, which has no echelon, RingMismatchError is raised.
         """
         ring = self.ring
+        if ring.formal:
+            raise RingMismatchError("a Gram slice needs a field, not a polynomial ring")
         if degree < 0:
-            return GramMatrix(degree, (), None if ring.formal else (), ring, self)
+            return GramMatrix(degree, (), (), ring)
         for n in range(len(self._gram), degree + 1):
-            rows = None if ring.formal else self._form_rows(n)
-            self._gram[n] = GramMatrix(n, partitions(n), rows, ring, self)
+            self._gram[n] = GramMatrix(n, partitions(n), self._form_rows(n), ring)
         return self._gram[degree]
 
     def _form_rows(self, n: int) -> Tuple[Dict[int, int], ...]:
@@ -387,67 +329,6 @@ class VermaModule:
                         acc[j] = acc.get(j, 0) + a * x
                 composed.append(acc)
         return tuple(row_basis(composed, self.ring))
-
-    def _gram_from_lower(self, n: int) -> Tuple[Tuple[tuple, ...], int]:
-        """num and den of the degree-n Gram matrix, from those of the
-        slices of degree below n (see GramMatrix), built on first read.
-
-        Built by the adjointness recurrence: for lambda = (k, lambda') the
-        form moves L(-k) across as L(k), so
-
-            G_n[lambda, mu] = sum_nu G_{n-k}[lambda', nu] [L(k) L(-mu) v]_nu.
-
-        Each column mu takes one straightening L(k) L(-mu) v per first part
-        k, and each entry is a short dot product with the lower slice's row
-        lambda', num / den, and the column's memo entry, its numerators
-        over its own denominator d (decoded to Poly values over a formal
-        ring).  Every column is rescaled to one slice denominator, the lcm
-        of the products den * d, so each entry is one int dot product:
-        reduced mod p over F_p, and over Q the content shared by that
-        denominator and all entries is divided out at the end.  Over a
-        formal ring every denominator is 1.  No symmetry shortcut is taken;
-        the test suite checks symmetry, and the entrywise definition,
-        independently.
-        """
-        basis = partitions(n)
-        ring = self.ring
-        if not n:
-            return ((ring.one() if ring.formal else 1,),), 1
-        # Rows with first part k form one contiguous block of the basis.
-        blocks = []
-        den = 1
-        for k in range(n, 0, -1):
-            lower = self._gram[n - k]
-            index = {nu: j for j, nu in enumerate(lower.basis)}
-            cols = []
-            for mu in basis:
-                d, nums = self._act(k, mu)
-                if ring.formal:
-                    d, col = 1, [(index[nu], x) for nu, x in entry_values((d, nums), ring).items()]
-                else:
-                    col = [(index[nu], v[0]) for nu, v in nums.items()]
-                cols.append((d * lower.den, col))
-                den = lcm(den, d * lower.den)
-            blocks.append((k, lower, index, cols))
-        zero = ring.zero() if ring.formal else 0
-        p = 0 if ring.formal else ring.char
-        rows = []
-        for k, lower, index, cols in blocks:
-            cols = [col if d == den else [(j, x * (den // d)) for j, x in col] for d, col in cols]
-            for rest in partitions(n - k, k):
-                low = lower.num[index[rest]]
-                dots = [sum([low[j] * x for j, x in col], zero) for col in cols]
-                rows.append(tuple([x % p for x in dots]) if p else tuple(dots))
-        if ring.formal or p:
-            return tuple(rows), 1
-        g = den
-        for row in rows:
-            if g == 1:
-                break
-            g = gcd(g, *row)
-        if g != 1:
-            rows = [tuple([x // g for x in row]) for row in rows]
-        return tuple(rows), den // g
 
     def project_vacuum_module(self, vec: VermaVector) -> VermaVector:
         """Image in the quotient by the submodule generated by L(-1) v.

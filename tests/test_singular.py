@@ -189,12 +189,70 @@ def test_full_rank_ranks_build_no_gram_matrix(monkeypatch):
     # Every slice of V(7/3, 5/11) has full rank and 56-bit denominators by
     # degree 14; its ranks come from the echelon rows alone.
     def unused(*args):
-        raise AssertionError("irreducible_dims built a full Gram matrix or ranked one")
+        raise AssertionError("irreducible_dims ranked a full Gram matrix")
 
-    monkeypatch.setattr(VermaModule, "_gram_from_lower", unused)
     monkeypatch.setattr(linalg, "rank", unused)
     table = irreducible_dims(VermaModule(Fraction(7, 3), Fraction(5, 11)), 14)
     assert table.irreducible() == [verma_dim(n) for n in range(15)]
+
+
+DEGREE = 16
+
+
+def _partition_counts(n):
+    """p(0), ..., p(n), adding one allowed part size at a time; independent
+    of the engine's partition tables."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
+
+
+P = _partition_counts(DEGREE)
+
+
+def _rocha_caridi(p, q, r, s):
+    """Graded dimensions to DEGREE of L(c_{p,q}, h_{r,s}) by the
+    Rocha-Caridi / Feigin-Fuchs formula: at degree d, the sum over k of
+    P(d - k(pqk + qr - ps)) - P(d - (pqk^2 + k(qr + ps) + rs))."""
+    out = []
+    for d in range(DEGREE + 1):
+        total = 0
+        for k in range(-d - 1, d + 2):
+            for sign, e in ((1, k * (p * q * k + q * r - p * s)), (-1, p * q * k * k + k * (q * r + p * s) + r * s)):
+                if e <= d:
+                    total += sign * P[d - e]
+        out.append(total)
+    return out
+
+
+def _minimal_model_cases(p, q):
+    """(c, h_{r,s}, character) for every Kac weight of the (p, q) minimal
+    model, c = 1 - 6(q - p)^2/(pq), one per pair (r, s) ~ (p - r, q - s)."""
+    c = 1 - Fraction(6 * (q - p) ** 2, p * q)
+    reps = {min((r, s), (p - r, q - s)) for r in range(1, p) for s in range(1, q)}
+    return [
+        (c, Fraction((q * r - p * s) ** 2 - (q - p) ** 2, 4 * p * q), _rocha_caridi(p, q, r, s))
+        for r, s in sorted(reps)
+    ]
+
+
+CHARACTER_CASES = [
+    *(case for pq in ((2, 5), (3, 4), (2, 7)) for case in _minimal_model_cases(*pq)),
+    # c = 1, h = m^2/4: the character p(d) - p(d - m - 1).
+    *(
+        (Fraction(1), Fraction(m * m, 4), [P[d] - (P[d - m - 1] if d > m else 0) for d in range(DEGREE + 1)])
+        for m in range(5)
+    ),
+]
+
+
+@pytest.mark.parametrize("c,h,want", CHARACTER_CASES, ids=[f"c={c},h={h}" for c, h, _ in CHARACTER_CASES])
+def test_irreducible_dims_match_the_closed_form_characters(c, h, want):
+    # An oracle that reads nothing of the engine but irreducible_dims: the
+    # Gram ranks over Q against the classical characters.
+    assert irreducible_dims(VermaModule(c, h), DEGREE).irreducible() == want
 
 
 def test_character_table_json_shape():
@@ -224,10 +282,7 @@ def test_radical_slices_are_stable_under_lowering(ising_modules):
                 img = mod.apply_mode(-k, vec)
                 if not img:
                     continue
-                gram = mod.gram_matrix(degree + k)
-                coords = [img.terms.get(lam, QQ.zero()) for lam in gram.basis]
-                for row in gram.entries:
-                    assert sum(g * x for g, x in zip(row, coords)) == 0
+                assert mod.gram_matrix(degree + k).in_radical(img)
 
 
 # --------------------------------------------------- reduction mod p

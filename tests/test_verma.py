@@ -7,7 +7,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ODD_PRIMES, fractions
+from conftest import ODD_PRIMES, fractions, full_gram
 from virfock.lincomb import merge
 from virfock.linalg import det, nullspace, rank
 from virfock.scalars import (
@@ -20,6 +20,7 @@ from virfock.scalars import (
     entry_values,
     formal_ring,
 )
+from virfock.modes import named_state, verify_annihilation
 from virfock.singular import radical_basis, singular_space
 from virfock.verma import VermaModule, VermaVector, partitions, verma_dim, verma_module
 
@@ -126,13 +127,14 @@ def test_int_straightening_matches_the_scalar_oracle(data):
 )
 def test_straightening_memo_entries_are_canonical(c, h, ring):
     mod = VermaModule(c, ring.h() if h is None else h, ring)
-    mod.gram_matrix(8)
     if ring.formal:
-        # No kernel over Q[h]; singular_space's L(1), L(2) pass instead.
+        # No Gram slice or kernel over Q[h]; singular_space's L(1), L(2)
+        # pass instead.
         for m in (1, 2):
             for q in partitions(6):
                 mod.apply_mode(m, mod.monomial(q))
     else:
+        mod.gram_matrix(8)
         singular_space(mod, 6)
     assert mod._memo
     for key, entry in mod._memo.items():
@@ -264,20 +266,23 @@ def test_bracket_relation_with_formal_weight():
 
 
 # ---------------------------------------------------------- gram matrices
+#
+# The engine holds a Gram slice only as echelon rows; full_gram (conftest)
+# builds the full matrix by the adjointness recurrence, and
+# _entrywise_gram by the definition.
 
 def test_gram_degree_one_is_twice_the_weight():
     for c, h in SAMPLE_PARAMS:
-        gram = q_module(c, h).gram_matrix(1)
-        assert gram.entries == ((2 * h,),)
-    assert q_module("1/2", 0).gram_matrix(1).entries == ((Fraction(0),),)
+        assert full_gram(q_module(c, h), 1).entries == ((2 * h,),)
+    assert full_gram(q_module("1/2", 0), 1).entries == ((Fraction(0),),)
 
 
 @pytest.mark.parametrize("c,h", SAMPLE_PARAMS)
 def test_gram_degree_two_closed_form(c, h):
-    gram = q_module(c, h).gram_matrix(2)
-    assert gram.basis == ((2,), (1, 1))
+    mod = q_module(c, h)
+    assert mod.gram_matrix(2).basis == ((2,), (1, 1))
     c, h = Fraction(c), Fraction(h)
-    assert gram.entries == (
+    assert full_gram(mod, 2).entries == (
         (4 * h + c / 2, 6 * h),
         (6 * h, 4 * h * (2 * h + 1)),
     )
@@ -287,23 +292,34 @@ def test_gram_degree_two_formal():
     ring = formal_ring(0)
     h = ring.h()
     mod = verma_module(Fraction(1, 2), h, ring)
-    gram = mod.gram_matrix(2)
-    assert gram.entries == (
+    assert full_gram(mod, 2).entries == (
         (4 * h + Fraction(1, 4), 6 * h),
         (6 * h, 8 * h * h + 4 * h),
     )
+
+
+@pytest.mark.parametrize("ring", [formal_ring(0), formal_ring(5)], ids=["Q[h]", "F5[h]"])
+def test_gram_slices_need_a_field(ring):
+    # A Gram slice is its echelon rows, and a formal ring has no echelon:
+    # every reader of a slice raises, negative degrees included.
+    mod = VermaModule(Fraction(1, 2), ring.h(), ring)
+    for degree in (2, -1):
+        with pytest.raises(RingMismatchError):
+            mod.gram_matrix(degree)
     with pytest.raises(RingMismatchError):
-        gram.rank
+        radical_basis(mod, 2)
+    with pytest.raises(RingMismatchError):
+        verify_annihilation(named_state("s", ring), mod, 2, 4)
 
 
 @given(params=st.sampled_from(SAMPLE_PARAMS), deg=st.integers(min_value=0, max_value=5))
 def test_gram_matrices_are_symmetric(params, deg):
     c, h = params
-    gram = q_module(c, h).gram_matrix(deg)
-    n = len(gram.basis)
+    entries = full_gram(q_module(c, h), deg).entries
+    n = len(entries)
     for i in range(n):
         for j in range(i):
-            assert gram.entries[i][j] == gram.entries[j][i]
+            assert entries[i][j] == entries[j][i]
 
 
 def _entrywise_gram(mod, n):
@@ -337,7 +353,7 @@ def test_gram_recurrence_matches_entrywise_definition(c, h, ring):
     mod = VermaModule(c, h, ring)
     oracle = VermaModule(c, h, ring)
     for n in range(10):
-        got = mod.gram_matrix(n).entries
+        got = full_gram(mod, n).entries
         want = _entrywise_gram(oracle, n)
         assert got == want
         assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
@@ -364,18 +380,9 @@ def test_int_gram_recurrence_matches_entrywise_definition(params):
     mod = VermaModule(c, h, ring)
     oracle = VermaModule(c, h, ring)
     for n in range(8):
-        gram = mod.gram_matrix(n)
-        got, want = gram.entries, _entrywise_gram(oracle, n)
+        got, want = full_gram(mod, n).entries, _entrywise_gram(oracle, n)
         assert got == want
         assert [type(x) for r in got for x in r] == [type(x) for r in want for x in r]
-        # The canonical int form: one positive denominator sharing no factor
-        # with every numerator over Q, residues over den 1 over F_p.
-        values = [v for row in gram.num for v in row]
-        assert all(type(v) is int for v in values)
-        if ring.char:
-            assert gram.den == 1 and all(0 <= v < ring.char for v in values)
-        else:
-            assert gram.den > 0 and gcd(gram.den, *values) == 1
 
 
 KAC_POINTS = [
@@ -410,7 +417,7 @@ def test_in_radical_matches_the_scalar_pairing(ring, point, data):
             rand = {p: ring.of_int(data.draw(ints)) for p in basis}
             vec = vec + VermaVector({p: x for p, x in rand.items() if x})
         coords = [vec.terms.get(p, ring.zero()) for p in basis]
-        want = not any(sum((g * x for g, x in zip(row, coords)), ring.zero()) for row in gram.entries)
+        want = not any(sum((g * x for g, x in zip(row, coords)), ring.zero()) for row in full_gram(mod, n).entries)
         assert gram.in_radical(vec) is want
         for other in (alien, Fraction(1, 2)) if ring.char else (alien,):
             with pytest.raises(RingMismatchError):
@@ -421,17 +428,17 @@ def test_in_radical_matches_the_scalar_pairing(ring, point, data):
 @given(point=st.one_of(st.sampled_from(KAC_POINTS), st.tuples(fractions(max_num=20, max_den=8), fractions(max_num=20, max_den=8))))
 def test_echelon_rows_span_the_row_space_of_the_full_gram_matrix(ring, point):
     # The rows come from degrees n - 1 and n - 2 through L(1) and L(2); the
-    # full matrix, num, is built from every L(k) and ranked as it stands.
+    # full matrix is built from every L(k) and ranked as it stands.
     c, h = point
     try:
         mod = VermaModule(c, h, ring)
     except DenominatorDivisibleByP:
         assume(False)
     for n in range(11):
-        gram = mod.gram_matrix(n)
-        assert gram.rank == rank(gram.num, ring)
-        assert rank([*gram.rows, *gram.num], ring) == gram.rank
-        want = [VermaVector({k: cv for k, cv in zip(gram.basis, x) if cv}) for x in nullspace(gram.num, ring)]
+        gram, num = mod.gram_matrix(n), full_gram(mod, n).num
+        assert gram.rank == rank(num, ring)
+        assert rank([*gram.rows, *num], ring) == gram.rank
+        want = [VermaVector({k: cv for k, cv in zip(gram.basis, x) if cv}) for x in nullspace(num, ring)]
         assert radical_basis(mod, n) == want
 
 
@@ -453,7 +460,6 @@ def test_gram_requested_first_at_degree_ten_matches_upward_fill():
     fresh = VermaModule(Fraction(1, 2), Fraction(1, 16))
     for n in (10, 7):
         assert fresh.gram_matrix(n) == upward.gram_matrix(n)
-        assert (fresh.gram_matrix(n).num, fresh.gram_matrix(n).den) == (upward.gram_matrix(n).num, upward.gram_matrix(n).den)
 
 
 def _kac_h(r, s, t):
@@ -484,7 +490,7 @@ def test_gram_determinant_is_the_kac_determinant(t, h):
     c = 13 - 6 * (t + 1 / t)
     for n in range(7):
         want = _kac_determinant(n, t, h)
-        assert det(VermaModule(c, h).gram_matrix(n).entries, QQ) == want
+        assert det(full_gram(VermaModule(c, h), n).entries, QQ) == want
         for p in (7, 11):
             ring = GF(p)
             try:
@@ -493,7 +499,7 @@ def test_gram_determinant_is_the_kac_determinant(t, h):
                 continue
             if not t_p:
                 continue
-            got = det(VermaModule(ring.of_fraction(c), h_p, ring).gram_matrix(n).entries, ring)
+            got = det(full_gram(VermaModule(ring.of_fraction(c), h_p, ring), n).entries, ring)
             assert got == want_p
 
 
@@ -503,10 +509,8 @@ def test_gram_reduces_entrywise_mod_p():
     mq = q_module("1/2", 2)
     mp = verma_module(Fraction(1, 2), Fraction(2), ring)
     for deg in range(5):
-        gq = mq.gram_matrix(deg)
-        gp = mp.gram_matrix(deg)
-        assert gp.basis == gq.basis
-        for rq, rp in zip(gq.entries, gp.entries):
+        assert mp.gram_matrix(deg).basis == mq.gram_matrix(deg).basis
+        for rq, rp in zip(full_gram(mq, deg).entries, full_gram(mp, deg).entries):
             assert tuple(ring.of_fraction(x) for x in rq) == tuple(rp)
 
 
