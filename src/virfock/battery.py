@@ -188,7 +188,7 @@ def _mod(h, ring: Ring = QQ):
 
 
 def _vec(module, coeffs: Dict[tuple, Fraction]) -> VermaVector:
-    return module.from_terms(list(coeffs.items()))
+    return VermaVector({p: module.ring.coerce(c) for p, c in coeffs.items()})
 
 
 def _hslug(h: Fraction) -> str:

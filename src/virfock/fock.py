@@ -383,8 +383,7 @@ def fock_hw_vectors(sector: str, parity: int, weight, ring: Ring = QQ) -> List[F
     if slice_weight2(sector, parity, degree) != w2:
         raise ValueError(f"no {sector} parity-{parity} monomials of weight {weight}")
     basis = sector_basis(sector, parity, degree)
-    maps = [[(d, {q: v[0] for q, v in img.items()}) for d, img in (_virasoro_term(sector, ring.char, m, t) for t in basis)]
-            for m in (1, 2)]
+    maps = [[_virasoro_term(sector, ring.char, m, t) for t in basis] for m in (1, 2)]
     return [FockVector(sector, ring, terms).normalized() for terms in joint_kernel(basis, maps, ring)]
 
 

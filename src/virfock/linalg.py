@@ -41,12 +41,13 @@ residual matrix, found by the same routine.  The basis is exactly the one
 a full echelon gives (see nullspace); row_basis, det and SpanBuilder reduce
 every row fully.
 
-joint_kernel takes each image of a basis vector as a numerator pair
-(den, {target key: int}), the form of a straightening memo entry, and
-gives its kernel as term dicts {basis key: nonzero scalar}; SpanBuilder
-and lowering_closure take and give term dicts, the `terms` of every
-vector class.  So linalg never handles a vector class and callers never
-build coordinate rows.
+joint_kernel takes each image of a basis vector as the canonical entry
+(den, {target key: (int,)}) that the Verma and Fock memos hold over a
+field, makes each target key one int row over the lcm of that row's own
+denominators, and gives the kernel as term dicts {basis key: nonzero
+scalar}; SpanBuilder and lowering_closure take and give term dicts, the
+`terms` of every vector class.  So linalg never handles a vector class and
+callers never build coordinate rows.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from math import gcd, lcm, prod
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .lincomb import Terms
-from .scalars import Ring, RingMismatchError, Scalar, field_value, numerators
+from .scalars import Entry, Ring, RingMismatchError, Scalar, field_value, numerators
 
 SparseRow = Dict[Hashable, int]  # {column or basis key: nonzero int entry}
 Pivots = Dict[Hashable, Tuple[int, SparseRow]]  # {pivot key: (lead, rest of the row)}
@@ -316,33 +317,30 @@ def nullspace(rows: Sequence[IntRow], ring: Ring, ncols: int | None = None) -> L
     return [[field_value(x[j], den, p) if j in x else zero for j in range(ncols)] for den, x in _kernel(sparse, ncols, p)]
 
 
-def joint_kernel(basis: Sequence, maps: Sequence[Sequence[IntVector]], ring: Ring) -> List[Terms]:
+def joint_kernel(basis: Sequence, maps: Sequence[Sequence[Entry]], ring: Ring) -> List[Terms]:
     """Basis of the common kernel of linear maps on the span of basis.
 
     maps holds, for each map, the images of the basis vectors in basis
-    order, each a numerator pair (den, {target key: int}): the image
-    {q: x / den}, den 1 over F_p.  Column j, the images of basis vector
-    j, is scaled to the lcm d_j of their denominators, so each map gives
-    one int row {basis index: numerator} per target key that occurs in its
-    images.  Scaling the columns by D = diag(d_j) keeps the free columns,
-    and x = D y maps the int matrix's kernel onto the maps' kernel; with
-    f the free column, the largest index of y, x_j = d_j y_j / d_f keeps
-    the free coordinates equal to 1.  Each null vector comes back as a
-    term dict on basis with its zero coordinates dropped.
+    order, each a canonical entry (den, {target key: (int,)}) of the int
+    form in `scalars`, as the Verma and Fock memos hold them over a field:
+    the image {q: x / den}, den 1 over F_p.  Each target key of a map gives
+    one int row {basis index: numerator}, scaled by the lcm of that row's
+    own denominators; a row scaled by a nonzero int keeps its kernel.  A
+    formal ring raises RingMismatchError before any entry is read.  Each
+    null vector comes back as a term dict on basis with its zero
+    coordinates dropped.
     """
-    dens = [lcm(*(images[j][0] for images in maps)) for j in range(len(basis))]
+    _field_char(ring)
     rows: List[SparseRow] = []
     for images in maps:
-        by_key: Dict[Hashable, SparseRow] = {}
+        by_key: Dict[Hashable, Dict[int, Tuple[int, int]]] = {}
         for j, (d, img) in enumerate(images):
-            for q, x in img.items():
-                by_key.setdefault(q, {})[j] = x * (dens[j] // d)
-        rows.extend(by_key.values())
-    out = []
-    for y in nullspace(rows, ring, ncols=len(basis)):
-        f = dens[max(j for j, v in enumerate(y) if v)]
-        out.append({k: v if d == f else v * d / f for k, d, v in zip(basis, dens, y) if v})
-    return out
+            for q, (x,) in img.items():
+                by_key.setdefault(q, {})[j] = d, x
+        for row in by_key.values():
+            den = lcm(*(d for d, _ in row.values()))
+            rows.append({j: x * (den // d) for j, (d, x) in row.items()})
+    return [{k: v for k, v in zip(basis, y) if v} for y in nullspace(rows, ring, ncols=len(basis))]
 
 
 def det(rows: Sequence[Sequence[Scalar]], ring: Ring) -> Scalar:

@@ -5,8 +5,8 @@ nonzero scalars.  `merge` is the one loop that adds one such dict of ring
 scalars into another.  It serves only cold paths: reading vectors from
 JSON, building states (`modes.build_state`, `modes.named_state`) and
 `LinComb.__add__`.  Sums on the hot paths are kept in the int form of
-`scalars`, not as scalar term dicts: the Gram recurrence (`verma`) and
-elimination (`linalg`) take int dot products, and the Verma
+`scalars`, not as scalar term dicts: elimination (`linalg`) and the Gram
+slices' radical recursion (`verma`) work on int rows, and the Verma
 straightening, the Verma and Fock Virasoro actions (`verma`, `fock`) and
 the mode engine (`modes`) add int products through the bucket sum in
 `scalars` (`add_image`, `add_products`, `normalized_sum`).  `LinComb`

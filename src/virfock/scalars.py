@@ -15,12 +15,12 @@ upstream never branches on the coefficient ring:
 
 The same int form serves the Gram slices, linear algebra and the mode
 engine.  One codec converts between it and scalars: ``numerators`` splits
-(key, scalar) pairs into ints over one denominator (the Poly values
-themselves over a formal ring) and ``poly_numerators`` into int tuples
-over one denominator (1-tuples over a base field); both reject a scalar of
-another ring.  ``field_value`` builds the Fraction or Fp for an int
-numerator over a denominator, ``poly_value`` the canonical Poly for an int
-tuple over one, and ``conv_add`` is the one int polynomial product.
+(key, scalar) pairs over a field into ints over one denominator and
+``poly_numerators`` into int tuples over one denominator (1-tuples over a
+base field); both reject a scalar of another ring.  ``field_value``
+builds the Fraction or Fp for an int numerator over a denominator,
+``poly_value`` the canonical Poly for an int tuple over one, and
+``conv_add`` is the one int polynomial product.
 
 The Verma straightening memo, the mode engine and the Fock Virasoro and
 fermion memos all hold canonical entries (den, {key: int tuple}), the
@@ -456,20 +456,16 @@ def numerators(items: Iterable[Tuple[Hashable, Scalar]], ring: Ring) -> Tuple[in
     """(den, {key: numerator}) for the nonzero scalars among (key, scalar)
     pairs, each equal to field_value(numerator, den, ring.char) over a
     field: over Q ints over the lcm den of the denominators, over F_p
-    residues in [0, p) with den 1.  Over a formal ring the numerators are
-    the Poly values themselves, with den 1.
+    residues in [0, p) with den 1.  A formal ring raises
+    RingMismatchError: its scalars are split by poly_numerators.
 
     Unlike _base_parts this coerces nothing: an int or Fraction over F_p,
-    an Fp over Q or mod another prime, or a base scalar over a formal ring
-    raises RingMismatchError.
+    or an Fp over Q or mod another prime, raises RingMismatchError.
     """
+    if ring.formal:
+        raise RingMismatchError("numerators need a field, not a polynomial ring")
     p = ring.char
     d = {}
-    if ring.formal:
-        for j, x in items:
-            if _is_poly(x, p):
-                d[j] = x
-        return 1, d
     if p:
         for j, x in items:
             if not isinstance(x, Fp) or x.p != p:

@@ -119,15 +119,14 @@ def singular_space(module, degree: int) -> SingularBasis:
     Stacks the coefficient matrices of L(1): V(n) -> V(n-1) and
     L(2): V(n) -> V(n-2) and returns their joint nullspace.  The images of
     the basis monomials are the straightening memo's entries, handed to
-    joint_kernel with their 1-tuples unwrapped; over a formal ring
-    joint_kernel raises RingMismatchError.  An empty basis is a valid
-    result.
+    joint_kernel as they are; over a formal ring joint_kernel raises
+    RingMismatchError.  An empty basis is a valid result.
     """
     mod = _as_module(module)
     if degree < 1:
         raise ValueError("singular vectors have positive degree")
     basis = partitions(degree)
-    maps = [[(d, {q: v[0] for q, v in img.items()}) for d, img in (mod._act(m, p) for p in basis)] for m in (1, 2)]
+    maps = [[mod._act(m, p) for p in basis] for m in (1, 2)]
     vectors = tuple(VermaVector(terms).normalized() for terms in joint_kernel(basis, maps, mod.ring))
     return SingularBasis(mod.params, degree, vectors)
 

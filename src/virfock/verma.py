@@ -16,9 +16,9 @@ field, den 1 with residues over F_p), and each straightening step is one
 bucket sum of them (`add_products`, `normalized_sum`).  `act` applies a
 mode to a vector held as such an entry (`add_image`), so that modes
 compose with no scalar built; `apply_mode` encodes its vector once, runs
-`act` and decodes the image once (`entry_values`).  The memo entries over a field are the
-numerator pairs (den, {partition: int}), once their 1-tuples are
-unwrapped, that `linalg.joint_kernel` takes.
+`act` and decodes the image once (`entry_values`).  `linalg.joint_kernel`
+takes the memo entries over a field, (den, {partition: (int,)}), as they
+are.
 Gram slices are cached per module, each degree once, and exist over a
 field only.  A GramMatrix holds `rows`: the echelon of int rows whose
 kernel is the radical of the form, one per unit of rank, built from the
@@ -202,12 +202,6 @@ class VermaModule:
         if any(x < 1 for x in p) or list(p) != sorted(p, reverse=True):
             raise ValueError(f"not a partition: {p}")
         return VermaVector({p: self._one})
-
-    def from_terms(self, pairs: Iterable[Tuple[Sequence[int], Scalar]]) -> VermaVector:
-        acc = VermaVector.zero()
-        for parts, cv in pairs:
-            acc = acc + self.monomial(parts).scale(self.ring.coerce(cv))
-        return acc
 
     def basis(self, degree: int) -> Tuple[Partition, ...]:
         return partitions(degree)

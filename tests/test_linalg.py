@@ -534,8 +534,34 @@ def kernel_case(draw):
 @given(kernel_case())
 def test_joint_kernel_matches_dense_stacking(case):
     ring, basis, maps, targets = case
-    encoded = [[numerators(img.items(), ring) for img in images] for images in maps]
+    encoded = [[poly_numerators(img.items(), ring) for img in images] for images in maps]
     assert joint_kernel(basis, encoded, ring) == dense_joint_kernel(basis, maps, targets, ring)
+
+
+def test_joint_kernel_scales_each_row_by_its_own_denominators():
+    # Basis vector x has image q/2 + r/3, an entry over 6, y has q/4 and z
+    # has r/5.  So row q mixes denominators 6 and 4 and row r mixes 6 and 5:
+    # they reach nullspace over their own lcms, 12 and 30.
+    images = [{"q": Fraction(1, 2), "r": Fraction(1, 3)}, {"q": Fraction(1, 4)}, {"r": Fraction(1, 5)}]
+    maps = [[poly_numerators(img.items(), QQ) for img in images]]
+    assert maps[0][0] == (6, {"q": (3,), "r": (2,)})
+    with patch.object(linalg, "nullspace", wraps=nullspace) as spy:
+        got = joint_kernel("xyz", maps, QQ)
+    assert spy.call_args.args[0] == [{0: 6, 1: 3}, {0: 10, 2: 6}]
+    want = [{"x": Fraction(-3, 5), "y": Fraction(6, 5), "z": Fraction(1)}]
+    assert got == dense_joint_kernel("xyz", [images], [["q", "r"]], QQ) == want
+
+
+def test_joint_kernel_over_a_formal_weight_needs_a_field():
+    # The Q[h] memo entries of L(1), L(2) on degree 3 carry h: 2-tuples,
+    # which joint_kernel must reject by the ring before it reads them.
+    ring = formal_ring(0)
+    mod = verma_module(Fraction(1, 2), ring.h(), ring)
+    basis = partitions(3)
+    maps = [[mod._act(m, p) for p in basis] for m in (1, 2)]
+    assert any(len(v) > 1 for images in maps for _, img in images for v in img.values())
+    with pytest.raises(RingMismatchError, match="needs a field"):
+        joint_kernel(basis, maps, ring)
 
 
 @pytest.mark.parametrize(
